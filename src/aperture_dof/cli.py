@@ -15,19 +15,13 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import _svg
-from .fresnel import (
-    ApertureFunction,
-    effective_aperture,
-    fresnel_dof,
-    fresnel_equivalence_check,
-    sbp_g3_fresnel,
-)
+from .fresnel import fresnel_dof, fresnel_equivalence_check, sbp_g3_fresnel
 from .geometry import Aperture, SceneSegment, WaveContext
 from .kspace import (
     bandwidth,
@@ -58,32 +52,28 @@ _LENGTH_UNITS = {"m": 1.0, "cm": 1e-2, "mm": 1e-3, "um": 1e-6}
 _NUM_RE = re.compile(r"^\s*([-+0-9.eE]+)\s*([a-zA-Z]*)\s*$")
 
 
-def _parse_length(text: str, where: str) -> float:
+def _parse_number(text: str, where: str, kind: str) -> tuple:
+    """(value, unit suffix) of a number with an optional alphabetic unit."""
     m = _NUM_RE.match(text)
     if m:
         try:
-            value = float(m.group(1))
+            return float(m.group(1)), m.group(2)
         except ValueError:
-            m = None
-    if not m:
-        raise ConfigError(f"{where}: cannot parse length {text!r}")
-    unit = m.group(2)
+            pass
+    raise ConfigError(f"{where}: cannot parse {kind} {text!r}")
+
+
+def _parse_length(text: str, where: str, *_) -> float:
+    value, unit = _parse_number(text, where, "length")
     if unit and unit not in _LENGTH_UNITS:
         raise ConfigError(f"{where}: unknown length unit {unit!r}")
     return value * (_LENGTH_UNITS[unit] if unit else 1.0)
 
 
-def _parse_angle(text: str, where: str) -> float:
+def _parse_angle(text: str, where: str, *_) -> float:
     """Angle in radians; bare numbers are degrees, 'deg'/'rad' suffixes honored."""
-    m = _NUM_RE.match(text)
-    if m:
-        try:
-            value = float(m.group(1))
-        except ValueError:
-            m = None
-    if not m:
-        raise ConfigError(f"{where}: cannot parse angle {text!r}")
-    unit = m.group(2).lower()
+    value, unit = _parse_number(text, where, "angle")
+    unit = unit.lower()
     if unit in ("", "deg"):
         return math.radians(value)
     if unit == "rad":
@@ -91,20 +81,24 @@ def _parse_angle(text: str, where: str) -> float:
     raise ConfigError(f"{where}: unknown angle unit {unit!r}")
 
 
-def _parse_int(text: str, where: str) -> int:
+def _parse_int(text: str, where: str, *_) -> int:
     try:
         return int(text)
     except ValueError as exc:
         raise ConfigError(f"{where}: expected integer, got {text!r}") from exc
 
 
-def _parse_bool(text: str, where: str) -> bool:
+def _parse_bool(text: str, where: str, *_) -> bool:
     t = text.strip().lower()
     if t in ("1", "true", "yes", "on"):
         return True
     if t in ("0", "false", "no", "off"):
         return False
     raise ConfigError(f"{where}: expected boolean, got {text!r}")
+
+
+def _parse_list(text: str, *_) -> tuple:
+    return tuple(s.strip() for s in text.split(",") if s.strip())
 
 
 _ARCH_TOKENS = {
@@ -117,16 +111,99 @@ _ARCH_TOKENS = {
 
 _ANALYSES = ("svd", "sbp-sweep", "kspace", "fresnel", "resolution")
 
-# every key the parser accepts; anything else is rejected by name
-_SCHEMA = {
-    "geometry": ("lambda", "L1", "L2", "D", "theta", "t"),
-    "array": ("architecture", "n_elements", "spacing"),
-    "discretization": ("n_scene", "kspace_samples", "sbp_points"),
-    "run": ("out_dir", "seed", "svg", "analyses"),
-    "sweep": ("param", "values", "include_fresnel", "include_theta"),
-    "resolution": ("n_targets", "oversample", "methods"),
-    "kspace": ("point_u",),
-}
+_SWEEP_PARAMS = ("t", "D", "L2", "theta")
+
+
+def _parse_architecture(text: str, where: str, *_) -> str:
+    token = text.strip().lower()
+    if token not in _ARCH_TOKENS:
+        raise ConfigError(f"{where}: unknown value {text!r}")
+    return _ARCH_TOKENS[token]
+
+
+def _parse_spacing(text: str, where: str, got: dict) -> int:
+    """Element count L1/spacing; must agree with an explicit n_elements."""
+    pitch = _parse_length(text, where)
+    if pitch <= 0.0:
+        raise ConfigError(f"{where}: must be positive")
+    L1 = got.get("L1", ExperimentConfig.L1)
+    derived = max(1, round(L1 / pitch))
+    if "n_elements" in got and derived != got["n_elements"]:
+        raise ConfigError(
+            f"{where}: inconsistent with n_elements "
+            f"({got['n_elements']} elements vs L1/spacing = {L1 / pitch:.3f})"
+        )
+    return derived
+
+
+def _parse_analyses(text: str, where: str, *_) -> tuple:
+    items = _parse_list(text)
+    for item in items:
+        if item not in _ANALYSES:
+            raise ConfigError(f"{where}: unknown analysis {item!r}")
+    return items
+
+
+def _parse_sweep_param(text: str, where: str, *_) -> str:
+    param = text.strip()
+    if param not in _SWEEP_PARAMS:
+        raise ConfigError(f"{where}: must be one of {', '.join(_SWEEP_PARAMS)}")
+    return param
+
+
+def _parse_sweep_values(text: str, where: str, got: dict) -> tuple:
+    param = got.get("sweep_param")
+    if param is None:
+        raise ConfigError(f"{where}: param must be set first")
+    parse = _parse_angle if param == "theta" else _parse_length
+    return tuple(parse(v, where) for v in _parse_list(text))
+
+
+# Every key the parser accepts, one row each, in parse order:
+# (section, key, ExperimentConfig attribute, parser).  Anything else is
+# rejected by name.  A parser takes (text, "[section] key", the values
+# parsed so far by attribute); only spacing and sweep values read those.
+_FIELDS = (
+    ("geometry", "lambda", "wavelength", _parse_length),
+    ("geometry", "L1", "L1", _parse_length),
+    ("geometry", "L2", "L2", _parse_length),
+    ("geometry", "D", "D", _parse_length),
+    ("geometry", "theta", "theta", _parse_angle),
+    ("geometry", "t", "t", _parse_length),
+    ("array", "architecture", "architecture", _parse_architecture),
+    ("array", "n_elements", "n_elements", _parse_int),
+    ("array", "spacing", "n_elements", _parse_spacing),
+    ("discretization", "n_scene", "n_scene", _parse_int),
+    ("discretization", "kspace_samples", "kspace_samples", _parse_int),
+    ("discretization", "sbp_points", "sbp_points", _parse_int),
+    ("run", "out_dir", "out_dir", lambda text, *_: text.strip()),
+    ("run", "seed", "seed", _parse_int),
+    ("run", "svg", "svg", _parse_bool),
+    ("run", "analyses", "analyses", _parse_analyses),
+    ("sweep", "param", "sweep_param", _parse_sweep_param),
+    ("sweep", "values", "sweep_values", _parse_sweep_values),
+    ("sweep", "include_fresnel", "sweep_include_fresnel", _parse_bool),
+    ("sweep", "include_theta", "sweep_include_theta", _parse_bool),
+    ("resolution", "n_targets", "res_n_targets", _parse_int),
+    ("resolution", "oversample", "res_oversample", _parse_int),
+    ("resolution", "methods", "res_methods", _parse_list),
+    ("kspace", "point_u", "kspace_point_u", _parse_length),
+)
+
+# Range checks in the order validate() applies them: (is_bad, message).
+_RANGE_CHECKS = (
+    (lambda c: c.wavelength <= 0.0, "[geometry] lambda: must be positive"),
+    (lambda c: c.L1 <= 0.0, "[geometry] L1: must be positive"),
+    (lambda c: c.L2 <= 0.0, "[geometry] L2: empty scene, must be positive"),
+    (lambda c: c.D <= 0.0, "[geometry] D: must be positive"),
+    (lambda c: abs(c.theta) > 0.5 * math.pi, "[geometry] theta: |theta| must be <= 90 deg"),
+    (lambda c: c.n_elements < 1, "[array] n_elements: must be >= 1"),
+    (lambda c: c.n_scene < 2, "[discretization] n_scene: must be >= 2"),
+    (lambda c: c.kspace_samples < 2, "[discretization] kspace_samples: must be >= 2"),
+    (lambda c: c.sbp_points < 16, "[discretization] sbp_points: must be >= 16"),
+    (lambda c: c.res_oversample < 1, "[resolution] oversample: must be >= 1"),
+    (lambda c: c.res_n_targets < 1, "[resolution] n_targets: must be >= 1"),
+)
 
 
 @dataclass
@@ -159,28 +236,9 @@ class ExperimentConfig:
     source: str = field(default="<defaults>", repr=False)
 
     def validate(self):
-        if self.wavelength <= 0.0:
-            raise ConfigError("[geometry] lambda: must be positive")
-        if self.L1 <= 0.0:
-            raise ConfigError("[geometry] L1: must be positive")
-        if self.L2 <= 0.0:
-            raise ConfigError("[geometry] L2: empty scene, must be positive")
-        if self.D <= 0.0:
-            raise ConfigError("[geometry] D: must be positive")
-        if abs(self.theta) > 0.5 * math.pi:
-            raise ConfigError("[geometry] theta: |theta| must be <= 90 deg")
-        if self.n_elements < 1:
-            raise ConfigError("[array] n_elements: must be >= 1")
-        if self.n_scene < 2:
-            raise ConfigError("[discretization] n_scene: must be >= 2")
-        if self.kspace_samples < 2:
-            raise ConfigError("[discretization] kspace_samples: must be >= 2")
-        if self.sbp_points < 16:
-            raise ConfigError("[discretization] sbp_points: must be >= 16")
-        if self.res_oversample < 1:
-            raise ConfigError("[resolution] oversample: must be >= 1")
-        if self.res_n_targets < 1:
-            raise ConfigError("[resolution] n_targets: must be >= 1")
+        for is_bad, message in _RANGE_CHECKS:
+            if is_bad(self):
+                raise ConfigError(message)
         for m in self.res_methods:
             if m not in ("pinv", "mf"):
                 raise ConfigError(f"[resolution] methods: unknown method {m!r}")
@@ -191,115 +249,23 @@ class ExperimentConfig:
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
         parser = configparser.ConfigParser(interpolation=None)
         parser.optionxform = str  # keep key case: L1 vs l1 must not alias
-        read = parser.read(path)
-        if not read:
+        if not parser.read(path):
             raise ConfigError(f"config file not found: {path}")
-        cfg = cls(source=str(path))
-
+        known = {(section, key) for section, key, _, _ in _FIELDS}
+        sections = {section for section, _ in known}
         for section in parser.sections():
-            if section not in _SCHEMA:
+            if section not in sections:
                 raise ConfigError(f"[{section}]: unknown section")
             for key in parser[section]:
-                if key not in _SCHEMA[section]:
+                if (section, key) not in known:
                     raise ConfigError(f"[{section}] {key}: unknown key")
 
-        def get(section, key):
-            return parser.get(section, key, fallback=None)
-
-        g = lambda k: get("geometry", k)
-        if g("lambda") is not None:
-            cfg.wavelength = _parse_length(g("lambda"), "[geometry] lambda")
-        if g("L1") is not None:
-            cfg.L1 = _parse_length(g("L1"), "[geometry] L1")
-        if g("L2") is not None:
-            cfg.L2 = _parse_length(g("L2"), "[geometry] L2")
-        if g("D") is not None:
-            cfg.D = _parse_length(g("D"), "[geometry] D")
-        if g("theta") is not None:
-            cfg.theta = _parse_angle(g("theta"), "[geometry] theta")
-        if g("t") is not None:
-            cfg.t = _parse_length(g("t"), "[geometry] t")
-
-        arch = get("array", "architecture")
-        if arch is not None:
-            token = arch.strip().lower()
-            if token not in _ARCH_TOKENS:
-                raise ConfigError(f"[array] architecture: unknown value {arch!r}")
-            cfg.architecture = _ARCH_TOKENS[token]
-        n_el = get("array", "n_elements")
-        spacing = get("array", "spacing")
-        if n_el is not None:
-            cfg.n_elements = _parse_int(n_el, "[array] n_elements")
-        if spacing is not None:
-            pitch = _parse_length(spacing, "[array] spacing")
-            if pitch <= 0.0:
-                raise ConfigError("[array] spacing: must be positive")
-            derived = max(1, round(cfg.L1 / pitch))
-            if n_el is not None and derived != cfg.n_elements:
-                raise ConfigError(
-                    "[array] spacing: inconsistent with n_elements "
-                    f"({cfg.n_elements} elements vs L1/spacing = {cfg.L1 / pitch:.3f})"
-                )
-            cfg.n_elements = derived
-
-        for key, attr in (("n_scene", "n_scene"), ("kspace_samples", "kspace_samples"),
-                          ("sbp_points", "sbp_points")):
-            val = get("discretization", key)
-            if val is not None:
-                setattr(cfg, attr, _parse_int(val, f"[discretization] {key}"))
-
-        if get("run", "out_dir") is not None:
-            cfg.out_dir = get("run", "out_dir").strip()
-        if get("run", "seed") is not None:
-            cfg.seed = _parse_int(get("run", "seed"), "[run] seed")
-        if get("run", "svg") is not None:
-            cfg.svg = _parse_bool(get("run", "svg"), "[run] svg")
-        if get("run", "analyses") is not None:
-            items = tuple(
-                s.strip() for s in get("run", "analyses").split(",") if s.strip()
-            )
-            for item in items:
-                if item not in _ANALYSES:
-                    raise ConfigError(f"[run] analyses: unknown analysis {item!r}")
-            cfg.analyses = items
-
-        if parser.has_section("sweep"):
-            param = get("sweep", "param")
-            if param is not None:
-                param = param.strip()
-                if param not in ("t", "D", "L2", "theta"):
-                    raise ConfigError(f"[sweep] param: must be one of t, D, L2, theta")
-                cfg.sweep_param = param
-            raw_values = get("sweep", "values")
-            if raw_values is not None:
-                if cfg.sweep_param is None:
-                    raise ConfigError("[sweep] values: param must be set first")
-                parse = _parse_angle if cfg.sweep_param == "theta" else _parse_length
-                cfg.sweep_values = tuple(
-                    parse(v.strip(), "[sweep] values")
-                    for v in raw_values.split(",") if v.strip()
-                )
-            if get("sweep", "include_fresnel") is not None:
-                cfg.sweep_include_fresnel = _parse_bool(
-                    get("sweep", "include_fresnel"), "[sweep] include_fresnel")
-            if get("sweep", "include_theta") is not None:
-                cfg.sweep_include_theta = _parse_bool(
-                    get("sweep", "include_theta"), "[sweep] include_theta")
-
-        if get("resolution", "n_targets") is not None:
-            cfg.res_n_targets = _parse_int(get("resolution", "n_targets"),
-                                           "[resolution] n_targets")
-        if get("resolution", "oversample") is not None:
-            cfg.res_oversample = _parse_int(get("resolution", "oversample"),
-                                            "[resolution] oversample")
-        if get("resolution", "methods") is not None:
-            cfg.res_methods = tuple(
-                m.strip() for m in get("resolution", "methods").split(",") if m.strip()
-            )
-        if get("kspace", "point_u") is not None:
-            cfg.kspace_point_u = _parse_length(get("kspace", "point_u"),
-                                               "[kspace] point_u")
-
+        got = {}
+        for section, key, attr, parse in _FIELDS:
+            text = parser.get(section, key, fallback=None)
+            if text is not None:
+                got[attr] = parse(text, f"[{section}] {key}", got)
+        cfg = cls(source=str(path), **got)
         cfg.validate()
         return cfg
 
@@ -429,13 +395,11 @@ def cmd_svd(cfg: ExperimentConfig, out: Path, archs: tuple) -> list:
     return written
 
 
-def cmd_sbp_sweep(cfg: ExperimentConfig, out: Path, sweep: dict | None = None) -> list:
-    param = sweep["param"] if sweep else cfg.sweep_param
-    values = sweep["values"] if sweep else cfg.sweep_values
+def cmd_sbp_sweep(cfg: ExperimentConfig, out: Path) -> list:
+    param, values = cfg.sweep_param, cfg.sweep_values
     if not param or not len(values):
         raise ConfigError("[sweep] param/values: required for sbp-sweep")
-    if param not in ("t", "D", "L2", "theta"):
-        raise ConfigError(f"[sweep] param: must be one of t, D, L2, theta")
+    _parse_sweep_param(param, "[sweep] param")
 
     wave = cfg.wave()
     header = ["param_value", "sbp"]
@@ -446,24 +410,15 @@ def cmd_sbp_sweep(cfg: ExperimentConfig, out: Path, sweep: dict | None = None) -
 
     rows = []
     for value in values:
-        L1, L2, D, theta, t = cfg.L1, cfg.L2, cfg.D, cfg.theta, cfg.t
-        if param == "t":
-            t = value
-        elif param == "D":
-            D = value
-        elif param == "L2":
-            L2 = value
-        else:
-            theta = value
-        aperture = Aperture.centered(L1, D)
-        scene = SceneSegment(L2 / 2.0, theta, t)
-        res = compute_sbp(scene, aperture, wave, cfg.sbp_points)
-        row = [value, res.value]
+        # sweep parameters are named after the attributes they override
+        at = replace(cfg, **{param: value})
+        aperture, scene = at.aperture(), at.scene()
+        row = [value, compute_sbp(scene, aperture, wave, cfg.sbp_points).value]
         if cfg.sweep_include_fresnel:
-            row.append(sbp_g3_fresnel(L1, L2, D, cfg.wavelength, theta))
+            row.append(sbp_g3_fresnel(at.L1, at.L2, at.D, cfg.wavelength, at.theta))
         if cfg.sweep_include_theta:
-            row.append(theta_heu(t, D))
-            row.append(theta_max(t, scene, aperture, wave, cfg.sbp_points))
+            row.append(theta_heu(at.t, at.D))
+            row.append(theta_max(at.t, scene, aperture, wave, cfg.sbp_points))
         rows.append(row)
     return [_write_csv(out / "sbp_sweep.csv", header, rows)]
 
@@ -522,12 +477,7 @@ def cmd_fresnel(cfg: ExperimentConfig, out: Path) -> list:
         "effective-aperture equivalence broken for the Fresnel kernel",
     )
 
-    tol = cfg.wavelength / 1000.0
-    eff = effective_aperture(
-        ApertureFunction.from_positions(layout.tx_positions, tol),
-        ApertureFunction.from_positions(layout.rx_positions, tol),
-        merge_tol=tol,
-    )
+    eff = report_f.effective
     payload = {
         "geometry": _geometry_payload(cfg),
         "fresnel_dof": fresnel_dof(cfg.L1, cfg.L2, cfg.D, cfg.wavelength),

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import SceneSegment, WaveContext
-from .operator import ArrayLayout
+from .operator import ArrayLayout, _factored_gram, _one_way_phases
 
 
 @dataclass(frozen=True)
@@ -144,13 +144,14 @@ def effective_aperture(
 @dataclass(frozen=True)
 class FresnelEquivalenceReport:
     """Singular-value comparison of a multistatic array vs its effective
-    monostatic replacement (both Fresnel-propagated on the effective side)."""
+    monostatic replacement `effective` (Fresnel-propagated on that side)."""
 
     kernel: str
     standoff: float
     max_rel_discrepancy: float
     sigma_pair: np.ndarray
     sigma_effective: np.ndarray
+    effective: ApertureFunction
 
 
 def _pair_singular_values(
@@ -168,15 +169,13 @@ def _pair_singular_values(
         f_tx = np.exp(-1j * (k * D + q * (tx_pos[:, None] - x_scene[None, :]) ** 2))
         f_rx = np.exp(-1j * (k * D + q * (rx_pos[:, None] - x_scene[None, :]) ** 2))
     elif kernel == "exact":
-        f_tx = np.exp(-1j * k * np.hypot(tx_pos[:, None] - x_scene[None, :], D))
-        f_rx = np.exp(-1j * k * np.hypot(rx_pos[:, None] - x_scene[None, :], D))
+        # aperture on z = 0, parallel scene at z = D
+        points = np.stack([x_scene, np.full_like(x_scene, D)], axis=-1)
+        f_tx = _one_way_phases(tx_pos, points, 0.0, k)
+        f_rx = _one_way_phases(rx_pos, points, 0.0, k)
     else:
         raise ValueError(f"unknown kernel {kernel!r}")
-    f_tx = f_tx * math.sqrt(tx_w)
-    f_rx = f_rx * math.sqrt(rx_w)
-    root_w = np.sqrt(col_w)
-    gram = (f_tx.conj().T @ f_tx) * (f_rx.conj().T @ f_rx) * root_w[:, None] * root_w[None, :]
-    gram = 0.5 * (gram + gram.conj().T)
+    gram = _factored_gram(f_tx * math.sqrt(tx_w), f_rx * math.sqrt(rx_w), col_w)
     evals = np.linalg.eigvalsh(gram)
     return np.sqrt(np.clip(evals[::-1], 0.0, None))
 
@@ -230,8 +229,8 @@ def fresnel_equivalence_check(
         ApertureFunction.from_positions(array.rx_positions, wave.wavelength / 1000.0),
         merge_tol=wave.wavelength / 1000.0,
     )
-    k = wave.k
-    kern = np.exp(-1j * (2.0 * k * D + (k / D) * (eff.positions[:, None] - x_scene[None, :]) ** 2))
+    x_eff = eff.positions[:, None]
+    kern = fresnel_kernel_midpoint(x_eff, x_eff, x_scene[None, :], D, wave)
     row_scale = np.sqrt(eff.multiplicities * array.tx_weight * array.rx_weight)
     m_eff = kern * row_scale[:, None] * np.sqrt(col_w)[None, :]
     sig_eff = np.linalg.svd(m_eff, compute_uv=False)
@@ -248,4 +247,5 @@ def fresnel_equivalence_check(
         max_rel_discrepancy=disc,
         sigma_pair=sig_pair,
         sigma_effective=sig_eff,
+        effective=eff,
     )

@@ -203,6 +203,17 @@ def build_operator(
     )
 
 
+def _factored_gram(
+    tx_factor: np.ndarray, rx_factor: np.ndarray, col_weights: np.ndarray
+) -> np.ndarray:
+    """Hermitian Gram of the Tx x Rx product rows: the elementwise product
+    of the one-way Grams, so the N^2 rows never enter a matrix product."""
+    root_w = np.sqrt(col_weights)
+    gram = (tx_factor.conj().T @ tx_factor) * (rx_factor.conj().T @ rx_factor) \
+        * root_w[:, None] * root_w[None, :]
+    return 0.5 * (gram + gram.conj().T)
+
+
 @dataclass(frozen=True)
 class SvdSpectrum:
     """Singular values (non-increasing) and right singular vectors.
@@ -238,22 +249,18 @@ def svd(op: DiscreteOperator) -> SvdSpectrum:
 
     Matrices with many more rows than columns (the multistatic case) are
     handled through the n_scene x n_scene Gram matrix, whose eigenvalues are
-    the squared singular values; for full-product rows the Gram itself is
-    the elementwise product of the one-way Tx and Rx Gram matrices, so the
-    N^2 rows never enter a matrix product.
+    the squared singular values; full-product rows take it from their
+    one-way factors (_factored_gram).
     """
     m = op.matrix
     hs = float(np.vdot(m, m).real)
     try:
         if m.shape[0] > 4 * m.shape[1]:
             if op.tx_factor is not None:
-                g_tx = op.tx_factor.conj().T @ op.tx_factor
-                g_rx = op.rx_factor.conj().T @ op.rx_factor
-                root_w = np.sqrt(op.col_weights)
-                gram = g_tx * g_rx * root_w[:, None] * root_w[None, :]
+                gram = _factored_gram(op.tx_factor, op.rx_factor, op.col_weights)
             else:
                 gram = m.conj().T @ m
-            gram = 0.5 * (gram + gram.conj().T)
+                gram = 0.5 * (gram + gram.conj().T)
             evals, evecs = np.linalg.eigh(gram)
             order = np.argsort(evals)[::-1]
             sigma = np.sqrt(np.clip(evals[order], 0.0, None))
@@ -263,8 +270,6 @@ def svd(op: DiscreteOperator) -> SvdSpectrum:
             vectors = vh.conj().T
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"SVD of {m.shape} operator failed: {exc}") from exc
-    # trace(gram) and the Frobenius norm agree to rounding; reconcile so the
-    # stored sum rule is exact for downstream checks
     return SvdSpectrum(singular_values=sigma, right_vectors=vectors, hs_norm_sq=hs)
 
 

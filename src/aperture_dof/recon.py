@@ -155,11 +155,6 @@ def _delta_scene(op: DiscreteOperator, index: int) -> np.ndarray:
     return gamma
 
 
-def _fine_grid(scene: SceneSegment, n_fine: int) -> np.ndarray:
-    step = scene.length / n_fine
-    return -scene.half_length + (np.arange(n_fine) + 0.5) * step
-
-
 def psf(
     scene_point_index: int,
     op: DiscreteOperator,
@@ -193,22 +188,38 @@ def psf(
     if oversample == 1:
         return reconstruct_pinv(op, data, rank, spectrum=sp)
 
-    u_fine = _fine_grid(op.scene, op.scene_u.size * oversample)
-    pts = op.scene.points(u_fine)
-    s_w = op.weight_data(data)
-    if method == "mf":
-        values = adjoint_to_points(op, s_w, pts)
-        out_rank = None
-    else:
-        sig = sp.singular_values
+    u_fine, images = _fine_images(
+        op, sp, op.weight_data(data)[:, None], (method,), rank, oversample)
+    return ImageProfile(coords=u_fine, values=images[method][:, 0], method=method,
+                        rank=rank if method == "pinv" else None)
+
+
+def _fine_images(op: DiscreteOperator, spectrum: SvdSpectrum | None, data_w: np.ndarray,
+                 methods: tuple, rank: int | None, oversample: int) -> tuple:
+    """Fine scene grid u_fine and {method: (u_fine.size, b) image} of the
+    weighted data columns data_w (n_rows, b).
+
+    The grid has oversample midpoint samples per operator cell.  MF images
+    are adjoints of the data; PINV images expand the data on the top `rank`
+    left vectors, whose adjoints are sigma_i * psi_i.
+    """
+    n_fine = op.scene_u.size * oversample
+    u_fine = -op.scene.half_length + (np.arange(n_fine) + 0.5) * (op.scene.length / n_fine)
+    adjoint_of = {}
+    if "mf" in methods:
+        adjoint_of["mf"] = data_w
+    if "pinv" in methods:
+        sig = spectrum.singular_values
         if not (1 <= rank <= sig.size) or sig[rank - 1] <= 0.0:
             raise ValueError(f"invalid truncation rank {rank}")
-        u_r = left_vectors(op, sp, rank)
-        coeffs = (u_r.conj().T @ s_w) / sig[:rank]
-        psi_fine = adjoint_to_points(op, u_r, pts) / sig[:rank]
-        values = psi_fine @ coeffs
-        out_rank = rank
-    return ImageProfile(coords=u_fine, values=values, method=method, rank=out_rank)
+        u_r = left_vectors(op, spectrum, rank)
+        coeffs = (u_r.conj().T @ data_w) / sig[:rank, None]
+        adjoint_of["pinv"] = u_r
+    pts = op.scene.points(u_fine)
+    images = {m: adjoint_to_points(op, v, pts) for m, v in adjoint_of.items()}
+    if "pinv" in images:
+        images["pinv"] = (images["pinv"] / sig[:rank]) @ coeffs
+    return u_fine, images
 
 
 def beamwidth_3db(profile: ImageProfile) -> float:
@@ -294,23 +305,10 @@ def resolution_sweep(
 
     # batch the fine-grid evaluation: one pass for the singular-vector basis
     # (target independent) and one for all MF adjoint images
-    u_fine = _fine_grid(scene, n_scene * oversample)
-    pts_fine = scene.points(u_fine)
     data_w = np.stack(
         [op.weight_data(op.forward(_delta_scene(op, i))) for i in idx], axis=1
     )
-
-    profiles: dict[str, np.ndarray] = {}
-    if "mf" in methods:
-        profiles["mf"] = adjoint_to_points(op, data_w, pts_fine)
-    if "pinv" in methods:
-        sig = sp.singular_values
-        if sig[rank - 1] <= 0.0:
-            raise ValueError(f"invalid truncation rank {rank}")
-        u_r = left_vectors(op, sp, rank)
-        coeffs = (u_r.conj().T @ data_w) / sig[:rank, None]
-        psi_fine = adjoint_to_points(op, u_r, pts_fine) / sig[:rank]
-        profiles["pinv"] = psi_fine @ coeffs
+    u_fine, profiles = _fine_images(op, sp, data_w, methods, rank, oversample)
 
     widths = {}
     flagged = {}

@@ -9,7 +9,7 @@ shifted segments are integrated numerically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,11 +19,10 @@ from .kspace import bandwidth
 
 @dataclass(frozen=True)
 class SbpResult:
-    """SBP value with the method that produced it and a geometry snapshot."""
+    """SBP value with the method that produced it."""
 
     value: float
     method: str
-    geometry: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.method not in ("closed-form-G1", "closed-form-G2", "numeric-integral"):
@@ -106,11 +105,7 @@ def sbp_numeric(
     pts = scene.points(u)
     b = np.array([bandwidth(p, scene, aperture, wave) for p in pts])
     value = float(np.trapezoid(b, u))
-    return SbpResult(
-        value=value,
-        method="numeric-integral",
-        geometry=_snapshot(scene, aperture, wave, n_points=n_points),
-    )
+    return SbpResult(value=value, method="numeric-integral")
 
 
 def compute_sbp(scene: SceneSegment, aperture: Aperture, wave: WaveContext,
@@ -134,8 +129,7 @@ def compute_sbp(scene: SceneSegment, aperture: Aperture, wave: WaveContext,
                 wave.wavelength,
             )
             method = "closed-form-G2"
-        return SbpResult(value=value, method=method,
-                         geometry=_snapshot(scene, aperture, wave))
+        return SbpResult(value=value, method=method)
     return sbp_numeric(scene, aperture, wave, n_points)
 
 
@@ -195,15 +189,3 @@ def theta_max(
             f1 = objective(x1)
     return 0.5 * (lo + hi)
 
-
-def _snapshot(scene: SceneSegment, aperture: Aperture, wave: WaveContext, **extra) -> dict:
-    snap = {
-        "L1": aperture.length,
-        "L2": scene.length,
-        "D": aperture.standoff,
-        "theta": scene.theta,
-        "t": scene.shift,
-        "lambda": wave.wavelength,
-    }
-    snap.update(extra)
-    return snap

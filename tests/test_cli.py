@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -85,6 +86,34 @@ def test_radian_angles_and_spacing(tmp_path):
         ("[sweep]\nvalues = 1cm\n", "param"),
         ("[kspace]\npoint_u = 9cm\n", "point_u"),
         ("[resolution]\nmethods = pinv, cs\n", "cs"),
+        ("[geometry]\nlambda = 0\n", re.escape("[geometry] lambda: must be positive")),
+        ("[geometry]\nL1 = -1cm\n", re.escape("[geometry] L1: must be positive")),
+        ("[geometry]\nD = 0mm\n", re.escape("[geometry] D: must be positive")),
+        ("[geometry]\nL1 = wide\n",
+         re.escape("[geometry] L1: cannot parse length 'wide'")),
+        ("[geometry]\ntheta = 1.2.3deg\n",
+         re.escape("[geometry] theta: cannot parse angle '1.2.3deg'")),
+        ("[geometry]\ntheta = 5grad\n",
+         re.escape("[geometry] theta: unknown angle unit 'grad'")),
+        ("[array]\nn_elements = 0\n", re.escape("[array] n_elements: must be >= 1")),
+        ("[array]\nn_elements = 2.5\n",
+         re.escape("[array] n_elements: expected integer, got '2.5'")),
+        ("[array]\nspacing = 0mm\n", re.escape("[array] spacing: must be positive")),
+        ("[discretization]\nn_scene = 1\n",
+         re.escape("[discretization] n_scene: must be >= 2")),
+        ("[discretization]\nkspace_samples = 1\n",
+         re.escape("[discretization] kspace_samples: must be >= 2")),
+        ("[discretization]\nsbp_points = 15\n",
+         re.escape("[discretization] sbp_points: must be >= 16")),
+        ("[resolution]\noversample = 0\n",
+         re.escape("[resolution] oversample: must be >= 1")),
+        ("[resolution]\nn_targets = 0\n",
+         re.escape("[resolution] n_targets: must be >= 1")),
+        ("[sweep]\nparam = lambda\n",
+         re.escape("[sweep] param: must be one of t, D, L2, theta")),
+        ("[sweep]\nparam = t\nvalues = 1cm, 2ly\n",
+         re.escape("[sweep] values: unknown length unit 'ly'")),
+        ("[run]\nseed = abc\n", re.escape("[run] seed: expected integer, got 'abc'")),
     ],
 )
 def test_config_rejection_names_the_offender(tmp_path, body, fragment):

@@ -226,6 +226,26 @@ def test_resolution_sweep_keeps_profiles_on_request():
     assert beamwidth_3db(prof) == pytest.approx(curve.widths["mf"][j], rel=1e-12)
 
 
+@pytest.mark.parametrize("architecture", [MONOSTATIC, MULTISTATIC])
+def test_oversampled_psf_is_one_column_of_the_sweep(architecture):
+    ap = Aperture.centered(L1, D)
+    layout = ArrayLayout.uniform(ap, 12, architecture)
+    scene, wave = SceneSegment(L2 / 2), WaveContext(LAM)
+    curve = resolution_sweep(
+        scene, ap, wave, layout, n_scene=40, n_targets=3, oversample=3,
+        keep_profiles=True,
+    )
+    op = build_operator(scene, layout, wave, 40)
+    idx = np.searchsorted(op.scene_u, curve.positions)
+    np.testing.assert_array_equal(op.scene_u[idx], curve.positions)
+    for method in ("pinv", "mf"):
+        for j, i in enumerate(idx):
+            profile = psf(int(i), op, method, oversample=3)
+            np.testing.assert_array_equal(profile.coords, curve.profile_coords)
+            np.testing.assert_allclose(
+                profile.values, curve.profiles[method][:, j], rtol=1e-12)
+
+
 def test_resolution_sweep_rejects_mismatched_aperture():
     ap = Aperture.centered(L1, D)
     other = Aperture.centered(L1, 2 * D)

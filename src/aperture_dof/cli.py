@@ -251,6 +251,9 @@ class ExperimentConfig:
         parser.optionxform = str  # keep key case: L1 vs l1 must not alias
         if not parser.read(path):
             raise ConfigError(f"config file not found: {path}")
+        # configparser copies [DEFAULT] keys into every section
+        if parser.defaults():
+            raise ConfigError("[DEFAULT]: unknown section")
         known = {(section, key) for section, key, _, _ in _FIELDS}
         sections = {section for section, _ in known}
         for section in parser.sections():

@@ -324,13 +324,19 @@ def adjoint_to_points(
     continuous adjoint image sampled at `points`.  Used to evaluate singular
     vectors and adjoint images on refined grids.
 
+    Full-product multistatic rows never build the (N^2, m) pair kernel: each
+    chunk of vectors, viewed as (n_tx, n_rx * chunk), goes through one GEMM
+    with the conjugated Tx phases, and a Hadamard reduction over Rx against
+    the conjugated Rx phases finishes the double sum.  Monostatic rows use
+    the dense (N, m) pair kernel.
+
     Parameters
     ----------
     vectors : (n_rows,) or (n_rows, b) array
     points : (m, 2) scene points
     chunk : int
         Vectors processed per pass in the factored multistatic path, bounds
-        the (n_points, N, chunk) temporary.
+        the (n_points, n_rx, chunk) temporary.
 
     Returns
     -------
@@ -349,15 +355,17 @@ def adjoint_to_points(
             * math.sqrt(op.array.tx_weight)
         er = _one_way_phases(op.array.rx_positions, points, z_plane, k).conj() \
             * math.sqrt(op.array.rx_weight)
-        out = np.empty((points.shape[0], v.shape[1]), dtype=complex)
+        n_pts = points.shape[0]
+        out = np.empty((n_pts, v.shape[1]), dtype=complex)
         for j0 in range(0, v.shape[1], chunk):
-            vv = v[:, j0:j0 + chunk].reshape(n_tx, n_rx, -1)
-            # g(q, b) = sum_ij et[i, q] er[j, q] vv[i, j, b]
-            t = np.einsum("iq,ijb->qjb", et, vv)
-            out[:, j0:j0 + chunk] = np.einsum("qjb,jq->qb", t, er)
+            # g(q, b) = sum_ij et[i, q] er[j, q] v[(i, j), b]: a GEMM sums
+            # over i, then a Hadamard reduction sums over j
+            t = (et.T @ v[:, j0:j0 + chunk].reshape(n_tx, -1)).reshape(n_pts, n_rx, -1)
+            out[:, j0:j0 + chunk] = np.einsum("qjb,qj->qb", t, er.T)
     else:
-        kern = _one_way_phases(op.pair_positions[:, 0], points, z_plane, k) \
-            * _one_way_phases(op.pair_positions[:, 1], points, z_plane, k)
+        # monostatic rows pair each element with itself: one phase, squared
+        e = _one_way_phases(op.pair_positions[:, 0], points, z_plane, k)
+        kern = e * e
         kern *= np.sqrt(op.row_weights)[:, None]
         out = kern.conj().T @ v
     return out[:, 0] if single else out

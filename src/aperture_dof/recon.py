@@ -155,6 +155,14 @@ def _delta_scene(op: DiscreteOperator, index: int) -> np.ndarray:
     return gamma
 
 
+def _unit_scatterer_data(op: DiscreteOperator, indices) -> np.ndarray:
+    """Weighted data columns (n_rows, len(indices)) of unit scatterers at
+    scene grid samples: the delta of amplitude 1/col_weight (_delta_scene)
+    picks its operator column, scaled by sqrt(col_weight) / col_weight."""
+    w = op.col_weights[indices]
+    return op.matrix[:, indices] * (np.sqrt(w) / w)
+
+
 def psf(
     scene_point_index: int,
     op: DiscreteOperator,
@@ -178,18 +186,17 @@ def psf(
     if oversample < 1:
         raise ValueError("oversample must be >= 1")
     gamma = _delta_scene(op, scene_point_index)
-    data = op.forward(gamma)
-
-    if method == "mf" and oversample == 1:
-        return reconstruct_mf(op, data)
     sp = _spectrum_for(op, spectrum) if method == "pinv" else None
     if method == "pinv" and rank is None:
         rank = dof_knee(sp)
     if oversample == 1:
+        data = op.forward(gamma)
+        if method == "mf":
+            return reconstruct_mf(op, data)
         return reconstruct_pinv(op, data, rank, spectrum=sp)
 
     u_fine, images = _fine_images(
-        op, sp, op.weight_data(data)[:, None], (method,), rank, oversample)
+        op, sp, _unit_scatterer_data(op, [scene_point_index]), (method,), rank, oversample)
     return ImageProfile(coords=u_fine, values=images[method][:, 0], method=method,
                         rank=rank if method == "pinv" else None)
 
@@ -305,10 +312,8 @@ def resolution_sweep(
 
     # batch the fine-grid evaluation: one pass for the singular-vector basis
     # (target independent) and one for all MF adjoint images
-    data_w = np.stack(
-        [op.weight_data(op.forward(_delta_scene(op, i))) for i in idx], axis=1
-    )
-    u_fine, profiles = _fine_images(op, sp, data_w, methods, rank, oversample)
+    u_fine, profiles = _fine_images(
+        op, sp, _unit_scatterer_data(op, idx), methods, rank, oversample)
 
     widths = {}
     flagged = {}

@@ -114,6 +114,10 @@ def test_radian_angles_and_spacing(tmp_path):
         ("[sweep]\nparam = t\nvalues = 1cm, 2ly\n",
          re.escape("[sweep] values: unknown length unit 'ly'")),
         ("[run]\nseed = abc\n", re.escape("[run] seed: expected integer, got 'abc'")),
+        ("[DEFAULT]\nseed = 2\n", re.escape("[DEFAULT]: unknown section")),
+        ("[DEFAULT]\nseed = 2\n[geometry]\nL1 = 1cm\n",
+         re.escape("[DEFAULT]: unknown section")),
+        ("[DEFAULT]\nseed = 2\n[run]\nsvg = no\n", re.escape("[DEFAULT]: unknown section")),
     ],
 )
 def test_config_rejection_names_the_offender(tmp_path, body, fragment):

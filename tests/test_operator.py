@@ -244,6 +244,33 @@ def test_adjoint_to_points_factored_route_matches_dense():
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10 * np.abs(expected).max())
 
 
+def test_adjoint_to_points_factored_route_non_square_ragged_chunk():
+    # 5 Tx and 3 Rx at distinct positions and weights make the (i, j) sum
+    # asymmetric, so a Tx/Rx axis swap fails; 5 columns at chunk=2 leave a
+    # short last chunk
+    rng = np.random.default_rng(5)
+    ap = Aperture.centered(L1, D)
+    tx = np.array([-0.07, -0.04, 0.0, 0.03, 0.065])
+    rx = np.array([-0.05, 0.01, 0.06])
+    layout = ArrayLayout(MULTISTATIC, tx, rx, ap, 0.03, 0.05)
+    op = build_operator(SceneSegment(L2 / 2.0), layout, WaveContext(LAM), 16)
+    assert op.tx_factor is not None and op.matrix.shape[0] == 15
+    pts = op.scene.points(np.linspace(-0.04, 0.04, 11))
+    vecs = np.stack([random_gamma(rng, 15) for _ in range(5)], axis=1)
+    got = adjoint_to_points(op, vecs, pts, chunk=2)
+
+    # dense oracle straight from the pair kernel
+    k = op.wave.k
+    z = ap.z_plane
+    kern = np.empty((15, 11), dtype=complex)
+    for m, (xt, xr) in enumerate(op.pair_positions):
+        for q, (xp, zp) in enumerate(pts):
+            r = math.hypot(xt - xp, zp - z) + math.hypot(xr - xp, zp - z)
+            kern[m, q] = np.exp(-1j * k * r) * math.sqrt(op.row_weights[m])
+    expected = kern.conj().T @ vecs
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10 * np.abs(expected).max())
+
+
 def test_adjoint_to_points_on_grid_matches_matrix_adjoint():
     rng = np.random.default_rng(4)
     op = small_operator(MONOSTATIC, n_elements=12, n_scene=18)

@@ -294,19 +294,13 @@ class ExperimentConfig:
         return ArrayLayout.uniform(self.aperture(), self.n_elements, architecture)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.9g}"
-
-
-def _write_csv(path: Path, header: list, rows) -> Path:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if not isinstance(v, str) else v for v in row))
-    path.write_text("\n".join(lines) + "\n")
+def _write_csv(path: Path, header: list, *columns) -> Path:
+    """CSV of equal-length columns: integer and bool columns as %d, the
+    rest as %.9g."""
+    columns = [np.asarray(c) for c in columns]
+    line = ",".join("%d" if c.dtype.kind in "biu" else "%.9g" for c in columns)
+    rows = (line % row for row in zip(*(c.tolist() for c in columns)))
+    path.write_text("\n".join([",".join(header), *rows]) + "\n")
     return path
 
 
@@ -359,7 +353,7 @@ def cmd_svd(cfg: ExperimentConfig, out: Path, archs: tuple) -> list:
         written.append(_write_csv(
             out / f"svd_{token}.csv",
             ["index", "sigma", "sigma_normalized"],
-            ((i + 1, sig[i], sig[i] / sig[0]) for i in range(sig.size)),
+            np.arange(1, sig.size + 1), sig, sig / sig[0],
         ))
         arch_payload[token] = {
             "sigma_bar": sigma_bar(spectrum),
@@ -423,7 +417,7 @@ def cmd_sbp_sweep(cfg: ExperimentConfig, out: Path) -> list:
             row.append(theta_heu(at.t, at.D))
             row.append(theta_max(at.t, scene, aperture, wave, cfg.sbp_points))
         rows.append(row)
-    return [_write_csv(out / "sbp_sweep.csv", header, rows)]
+    return [_write_csv(out / "sbp_sweep.csv", header, *zip(*rows))]
 
 
 def cmd_kspace(cfg: ExperimentConfig, out: Path) -> list:
@@ -451,8 +445,8 @@ def cmd_kspace(cfg: ExperimentConfig, out: Path) -> list:
         )
 
     written = [
-        _write_csv(out / "kspace_mono.csv", ["kx", "kz"], mono_pts),
-        _write_csv(out / "kspace_multi.csv", ["kx", "kz"], multi_out.samples),
+        _write_csv(out / "kspace_mono.csv", ["kx", "kz"], *mono_pts.T),
+        _write_csv(out / "kspace_multi.csv", ["kx", "kz"], *multi_out.samples.T),
     ]
     u_grid = np.linspace(-scene.half_length, scene.half_length, 101)
     rows = []
@@ -461,7 +455,7 @@ def cmd_kspace(cfg: ExperimentConfig, out: Path) -> list:
         b = bandwidth(p, scene, aperture, wave)
         rows.append([u, p[0], p[1], b, 1.0 / b if b > 0 else math.inf])
     written.append(_write_csv(
-        out / "bandwidth.csv", ["u", "x", "z", "bandwidth", "reciprocal"], rows
+        out / "bandwidth.csv", ["u", "x", "z", "bandwidth", "reciprocal"], *zip(*rows)
     ))
     return written
 
@@ -499,7 +493,7 @@ def cmd_fresnel(cfg: ExperimentConfig, out: Path) -> list:
         _write_json(out / "fresnel.json", payload),
         _write_csv(out / "effective_aperture.csv",
                    ["position", "multiplicity"],
-                   zip(eff.positions, eff.multiplicities)),
+                   eff.positions, eff.multiplicities),
     ]
 
 
@@ -521,9 +515,8 @@ def cmd_resolution(cfg: ExperimentConfig, out: Path, archs: tuple) -> list:
         for method in cfg.res_methods:
             mags = np.abs(curve.profiles[method])
             header = ["u"] + [f"scat_{p:.9g}" for p in curve.positions]
-            rows = np.column_stack([curve.profile_coords, mags])
             written.append(_write_csv(
-                out / f"psf_{method}_{token}.csv", header, rows))
+                out / f"psf_{method}_{token}.csv", header, curve.profile_coords, *mags.T))
 
     first = curves[archs[0]]
     for u, b in zip(first.positions, first.reciprocal_bandwidth):
@@ -540,9 +533,8 @@ def cmd_resolution(cfg: ExperimentConfig, out: Path, archs: tuple) -> list:
             header.append(f"width_{method}_{token}")
             cols.append(curves[arch].widths[method])
             header.append(f"flag_{method}_{token}")
-            cols.append(curves[arch].flagged[method].astype(int))
-    rows = list(zip(*cols))
-    written.append(_write_csv(out / "resolution.csv", header, rows))
+            cols.append(curves[arch].flagged[method])
+    written.append(_write_csv(out / "resolution.csv", header, *cols))
     return written
 
 

@@ -10,9 +10,9 @@ accuracy.
 
 A monostatic array of N transceivers yields N rows (x_tx = x_rx); a
 multistatic array yields the full Tx x Rx product, N^2 rows for N = 200.
-For that tall case singular values come from the eigen-decomposition of the
-n_scene x n_scene Gram matrix, which for product-form rows factorizes into
-an elementwise product of two one-way Gram matrices.
+For that tall product-form case singular values come from the
+eigen-decomposition of the n_scene x n_scene Gram matrix, which factorizes
+into an elementwise product of two one-way Gram matrices.
 """
 
 from __future__ import annotations
@@ -247,20 +247,16 @@ class SvdSpectrum:
 def svd(op: DiscreteOperator) -> SvdSpectrum:
     """Singular-value decomposition of the weighted operator.
 
-    Matrices with many more rows than columns (the multistatic case) are
-    handled through the n_scene x n_scene Gram matrix, whose eigenvalues are
-    the squared singular values; full-product rows take it from their
-    one-way factors (_factored_gram).
+    Full-product multistatic rows with many more rows than columns go
+    through the n_scene x n_scene Gram matrix built from their one-way
+    factors (_factored_gram), whose eigenvalues are the squared singular
+    values; every other matrix takes a direct SVD.
     """
     m = op.matrix
     hs = float(np.vdot(m, m).real)
     try:
-        if m.shape[0] > 4 * m.shape[1]:
-            if op.tx_factor is not None:
-                gram = _factored_gram(op.tx_factor, op.rx_factor, op.col_weights)
-            else:
-                gram = m.conj().T @ m
-                gram = 0.5 * (gram + gram.conj().T)
+        if op.tx_factor is not None and m.shape[0] > 4 * m.shape[1]:
+            gram = _factored_gram(op.tx_factor, op.rx_factor, op.col_weights)
             evals, evecs = np.linalg.eigh(gram)
             order = np.argsort(evals)[::-1]
             sigma = np.sqrt(np.clip(evals[order], 0.0, None))

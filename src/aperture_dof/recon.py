@@ -1,11 +1,12 @@
 """Image formation and resolution analysis for discretized Born operators.
 
-Two reconstruction routes: truncated-SVD pseudoinverse (PINV), which for
+Two reconstruction methods: truncated-SVD pseudoinverse (PINV), which for
 noiseless data projects the true reflectivity onto the kept right singular
 vectors, and the matched filter / back-propagation adjoint (MF), which
-weights the same projections by sigma^2.  Resolution is measured as the 3dB
-mainlobe width of point-scatterer PSFs and benchmarked against the
-reciprocal bandwidth 1/B.
+weights the same projections by sigma^2.  Every image, on the operator's own
+grid (oversample = 1) or on a finer one, is formed by one routine,
+_images.  Resolution is measured as the 3dB mainlobe width of
+point-scatterer PSFs and benchmarked against the reciprocal bandwidth 1/B.
 """
 
 from __future__ import annotations
@@ -89,6 +90,22 @@ def _spectrum_for(op: DiscreteOperator, spectrum: SvdSpectrum | None) -> SvdSpec
     return svd(op) if spectrum is None else spectrum
 
 
+def _weighted_column(op: DiscreteOperator, data: np.ndarray) -> np.ndarray:
+    """Physical measurement vector -> weighted data column (n_rows, 1)."""
+    data = np.asarray(data)
+    if data.shape != (op.matrix.shape[0],):
+        raise ValueError(f"data length {data.shape} does not match operator rows")
+    return op.weight_data(data)[:, None]
+
+
+def _profile(op: DiscreteOperator, spectrum: SvdSpectrum | None, data_w: np.ndarray,
+             method: str, rank: int | None, oversample: int = 1) -> ImageProfile:
+    """ImageProfile of one weighted data column (n_rows, 1)."""
+    coords, images = _images(op, spectrum, data_w, (method,), rank, oversample)
+    return ImageProfile(coords=coords, values=images[method][:, 0], method=method,
+                        rank=rank if method == "pinv" else None)
+
+
 def reconstruct_pinv(
     op: DiscreteOperator,
     data: np.ndarray,
@@ -111,54 +128,19 @@ def reconstruct_pinv(
     spectrum : SvdSpectrum, optional
         Precomputed SVD of `op` to reuse across calls.
     """
-    data = np.asarray(data)
-    if data.shape != (op.matrix.shape[0],):
-        raise ValueError(f"data length {data.shape} does not match operator rows")
-    sp = _spectrum_for(op, spectrum)
-    sig = sp.singular_values
-    if not (1 <= rank <= sig.size):
-        raise ValueError(f"rank must be in [1, {sig.size}], got {rank}")
-    if sig[rank - 1] <= 0.0:
-        raise ValueError(f"sigma_{rank} is zero; reduce the truncation rank")
-    s_w = op.weight_data(data)
-    v_r = sp.right_vectors[:, :rank]
-    # <data, phi_i> / sigma_i computed scene-side: phi_i = A psi_i / sigma_i
-    coeffs = (v_r.conj().T @ (op.matrix.conj().T @ s_w)) / sig[:rank] ** 2
-    gamma_w = v_r @ coeffs
-    return ImageProfile(
-        coords=op.scene_u,
-        values=gamma_w / np.sqrt(op.col_weights),
-        method="pinv",
-        rank=rank,
-    )
+    data_w = _weighted_column(op, data)
+    return _profile(op, _spectrum_for(op, spectrum), data_w, "pinv", rank)
 
 
 def reconstruct_mf(op: DiscreteOperator, data: np.ndarray) -> ImageProfile:
     """Matched-filter (adjoint / back-propagation) image."""
-    data = np.asarray(data)
-    if data.shape != (op.matrix.shape[0],):
-        raise ValueError(f"data length {data.shape} does not match operator rows")
-    gamma_w = op.matrix.conj().T @ op.weight_data(data)
-    return ImageProfile(
-        coords=op.scene_u,
-        values=gamma_w / np.sqrt(op.col_weights),
-        method="mf",
-        rank=None,
-    )
-
-
-def _delta_scene(op: DiscreteOperator, index: int) -> np.ndarray:
-    if not (0 <= index < op.scene_u.size):
-        raise ValueError(f"scene index {index} outside grid of {op.scene_u.size}")
-    gamma = np.zeros(op.scene_u.size, dtype=complex)
-    gamma[index] = 1.0 / op.col_weights[index]
-    return gamma
+    return _profile(op, None, _weighted_column(op, data), "mf", None)
 
 
 def _unit_scatterer_data(op: DiscreteOperator, indices) -> np.ndarray:
     """Weighted data columns (n_rows, len(indices)) of unit scatterers at
-    scene grid samples: the delta of amplitude 1/col_weight (_delta_scene)
-    picks its operator column, scaled by sqrt(col_weight) / col_weight."""
+    scene grid samples: a delta of amplitude 1/col_weight picks its operator
+    column, scaled by sqrt(col_weight) / col_weight."""
     w = op.col_weights[indices]
     return op.matrix[:, indices] * (np.sqrt(w) / w)
 
@@ -174,10 +156,11 @@ def psf(
     """Point spread function: image of a unit scatterer at one grid sample.
 
     The input is a discrete delta of amplitude 1/(scene quadrature weight),
-    matching the continuous unit-delta convention.  With oversample > 1 the
-    reconstruction is evaluated on an oversample-times finer grid through
-    the kernel; this interpolates the same band-limited image, it adds no
-    information.
+    matching the continuous unit-delta convention.  oversample = 1 images
+    on the operator's own grid; oversample > 1 evaluates the same
+    band-limited image through the kernel on an oversample-times finer
+    grid, which interpolates it and adds no information.  Both go through
+    one routine (_images).
 
     rank defaults to the -10 dB dof_knee of the spectrum (pinv only).
     """
@@ -185,30 +168,25 @@ def psf(
         raise ValueError(f"unknown method {method!r}")
     if oversample < 1:
         raise ValueError("oversample must be >= 1")
-    gamma = _delta_scene(op, scene_point_index)
+    # an explicit check: a negative index would wrap around in the column slice
+    if not (0 <= scene_point_index < op.scene_u.size):
+        raise ValueError(f"scene index {scene_point_index} outside grid of {op.scene_u.size}")
     sp = _spectrum_for(op, spectrum) if method == "pinv" else None
     if method == "pinv" and rank is None:
         rank = dof_knee(sp)
-    if oversample == 1:
-        data = op.forward(gamma)
-        if method == "mf":
-            return reconstruct_mf(op, data)
-        return reconstruct_pinv(op, data, rank, spectrum=sp)
-
-    u_fine, images = _fine_images(
-        op, sp, _unit_scatterer_data(op, [scene_point_index]), (method,), rank, oversample)
-    return ImageProfile(coords=u_fine, values=images[method][:, 0], method=method,
-                        rank=rank if method == "pinv" else None)
+    return _profile(op, sp, _unit_scatterer_data(op, [scene_point_index]), method, rank,
+                    oversample)
 
 
-def _fine_images(op: DiscreteOperator, spectrum: SvdSpectrum | None, data_w: np.ndarray,
-                 methods: tuple, rank: int | None, oversample: int) -> tuple:
-    """Fine scene grid u_fine and {method: (u_fine.size, b) image} of the
-    weighted data columns data_w (n_rows, b).
+def _images(op: DiscreteOperator, spectrum: SvdSpectrum | None, data_w: np.ndarray,
+            methods: tuple, rank: int | None, oversample: int) -> tuple:
+    """Scene grid u and {method: (u.size, b) image} of the weighted data
+    columns data_w (n_rows, b); the one place an image is formed.
 
-    The grid has oversample midpoint samples per operator cell.  MF images
-    are adjoints of the data; PINV images expand the data on the top `rank`
-    left vectors, whose adjoints are sigma_i * psi_i.
+    The grid has oversample midpoint samples per operator cell, so
+    oversample = 1 is the operator's own grid scene_u, bit for bit.  MF
+    images are adjoints of the data; PINV images expand the data on the top
+    `rank` left vectors, whose adjoints are sigma_i * psi_i.
     """
     n_fine = op.scene_u.size * oversample
     u_fine = -op.scene.half_length + (np.arange(n_fine) + 0.5) * (op.scene.length / n_fine)
@@ -217,8 +195,10 @@ def _fine_images(op: DiscreteOperator, spectrum: SvdSpectrum | None, data_w: np.
         adjoint_of["mf"] = data_w
     if "pinv" in methods:
         sig = spectrum.singular_values
-        if not (1 <= rank <= sig.size) or sig[rank - 1] <= 0.0:
-            raise ValueError(f"invalid truncation rank {rank}")
+        if not (1 <= rank <= sig.size):
+            raise ValueError(f"rank must be in [1, {sig.size}], got {rank}")
+        if sig[rank - 1] <= 0.0:
+            raise ValueError(f"sigma_{rank} is zero; reduce the truncation rank")
         u_r = left_vectors(op, spectrum, rank)
         coeffs = (u_r.conj().T @ data_w) / sig[:rank, None]
         adjoint_of["pinv"] = u_r
@@ -312,7 +292,7 @@ def resolution_sweep(
 
     # batch the fine-grid evaluation: one pass for the singular-vector basis
     # (target independent) and one for all MF adjoint images
-    u_fine, profiles = _fine_images(
+    u_fine, profiles = _images(
         op, sp, _unit_scatterer_data(op, idx), methods, rank, oversample)
 
     widths = {}

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from aperture_dof.cli import ConfigError, ExperimentConfig, main
+from aperture_dof.cli import ConfigError, ExperimentConfig, _write_csv, main
 
 NOMINAL = """
 [geometry]
@@ -181,6 +181,21 @@ def test_csv_numbers_are_9_significant_digits(tmp_path):
     _, rows = read_csv(tmp_path / "results" / "svd_mono.csv")
     for _, sigma, _ in rows:
         assert sigma == f"{float(sigma):.9g}"
+
+
+def test_csv_columns_print_each_value_as_the_scalar_format(tmp_path):
+    # one format per column: floats as f"{x:.9g}", integers and bools as %d,
+    # special values and random bit patterns included
+    rng = np.random.default_rng(0)
+    special = [0.1, -0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 2.2250738585072014e-308,
+               1.0 / 3.0, 123456789012.0, 3.0, -1e300]
+    bits = rng.integers(0, 2**64, 988, dtype=np.uint64)
+    floats = np.concatenate([special, bits.view(np.float64)])
+    ints = rng.integers(-10**12, 10**12, floats.size)
+    flags = rng.random(floats.size) < 0.5
+    path = _write_csv(tmp_path / "t.csv", ["f", "i", "b"], floats, ints, flags)
+    expected = ["f,i,b"] + [f"{f:.9g},{i},{int(b)}" for f, i, b in zip(floats, ints, flags)]
+    assert path.read_text() == "\n".join(expected) + "\n"
 
 
 def test_reruns_are_byte_identical(tmp_path):

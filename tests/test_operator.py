@@ -133,6 +133,16 @@ def test_gram_route_matches_dense_svd():
     np.testing.assert_allclose(sig_gram, sig_dense, rtol=0, atol=1e-9 * sig_dense[0])
 
 
+def test_tall_monostatic_spectrum_matches_dense_svd():
+    # a tall monostatic matrix has no one-way factors to build a Gram from;
+    # its spectrum must be as accurate as a direct SVD
+    op = small_operator(MONOSTATIC, n_elements=200, n_scene=40)
+    assert op.tx_factor is None and op.matrix.shape[0] > 4 * op.matrix.shape[1]
+    sig_dense = np.linalg.svd(op.matrix, compute_uv=False)
+    np.testing.assert_allclose(
+        svd(op).singular_values, sig_dense, rtol=0, atol=1e-12 * sig_dense[0])
+
+
 def test_single_tx_collapse_matches_brute_force():
     # one transmitter, many receivers: compare against an explicitly
     # assembled single-view operator

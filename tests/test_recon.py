@@ -152,6 +152,22 @@ def test_psf_oversampled_grid_and_peak():
         assert np.max(np.abs(fine.values)) >= 0.95 * np.max(np.abs(coarse.values))
 
 
+@pytest.mark.parametrize("architecture,n_elements", [(MONOSTATIC, 30), (MULTISTATIC, 12)])
+def test_oversampled_psf_contains_the_grid_psf(architecture, n_elements):
+    # every third sample of the 3x grid sits on an operator grid point, where
+    # the fine image must equal the grid image
+    op = small_operator(architecture, n_elements=n_elements, n_scene=48)
+    sp = svd(op)
+    for method in ("pinv", "mf"):
+        for idx in (3, 24, 40):
+            coarse = psf(idx, op, method, spectrum=sp)
+            fine = psf(idx, op, method, oversample=3, spectrum=sp)
+            np.testing.assert_allclose(fine.coords[1::3], coarse.coords, rtol=0, atol=1e-15)
+            peak = np.abs(coarse.values).max()
+            np.testing.assert_allclose(
+                fine.values[1::3], coarse.values, rtol=0, atol=1e-12 * peak)
+
+
 def test_image_profile_validation():
     with pytest.raises(ValueError):
         ImageProfile(np.array([0.0, 0.0]), np.array([1.0, 1.0]), "mf")

@@ -236,9 +236,14 @@ class ExperimentConfig:
     source: str = field(default="<defaults>", repr=False)
 
     def validate(self):
-        for is_bad, message in _RANGE_CHECKS:
-            if is_bad(self):
-                raise ConfigError(message)
+        # each swept value must pass the same checks as the key it overrides
+        param, unit = self.sweep_param, "rad" if self.sweep_param == "theta" else "m"
+        swept = [(replace(self, **{param: v}), f"[sweep] values: {param} = {v:.9g} {unit} breaks ")
+                 for v in self.sweep_values]
+        for cfg, prefix in [(self, ""), *swept]:
+            for is_bad, message in _RANGE_CHECKS:
+                if is_bad(cfg):
+                    raise ConfigError(prefix + message)
         for m in self.res_methods:
             if m not in ("pinv", "mf"):
                 raise ConfigError(f"[resolution] methods: unknown method {m!r}")
@@ -428,19 +433,17 @@ def cmd_kspace(cfg: ExperimentConfig, out: Path) -> list:
     mono_pts = mono.arc_samples(n)
 
     # the written multi grid is decimated; checks below use the full density
-    n_axis = min(n, 96)
-    multi_out = multi_spectrum(point, aperture, wave, n_axis)
+    multi_out = multi_spectrum(point, aperture, wave, min(n, 96))
 
     rng = np.random.default_rng(cfg.seed)
     multi_full = multi_spectrum(point, aperture, wave, n)
-    k = wave.k
     angles = [scene_projection_angle(scene), 0.0]
     angles.extend(rng.uniform(-0.5 * math.pi, 0.5 * math.pi, 3))
     for ang in angles:
-        lo_m, hi_m = project_points_onto_line(mono.arc_samples(n), ang)
+        lo_m, hi_m = project_points_onto_line(mono_pts, ang)
         lo_x, hi_x = project_points_onto_line(multi_full.samples, ang)
         _check(
-            abs((hi_m - lo_m) - (hi_x - lo_x)) <= 1e-9 * k,
+            abs((hi_m - lo_m) - (hi_x - lo_x)) <= 1e-9 * wave.k,
             f"mono/multi projected widths diverge at line angle {ang:.3f}",
         )
 
@@ -449,13 +452,11 @@ def cmd_kspace(cfg: ExperimentConfig, out: Path) -> list:
         _write_csv(out / "kspace_multi.csv", ["kx", "kz"], *multi_out.samples.T),
     ]
     u_grid = np.linspace(-scene.half_length, scene.half_length, 101)
-    rows = []
-    for u in u_grid:
-        p = scene.point(u)
-        b = bandwidth(p, scene, aperture, wave)
-        rows.append([u, p[0], p[1], b, 1.0 / b if b > 0 else math.inf])
+    pts = scene.points(u_grid)
+    b = bandwidth(pts, scene, aperture, wave)
     written.append(_write_csv(
-        out / "bandwidth.csv", ["u", "x", "z", "bandwidth", "reciprocal"], *zip(*rows)
+        out / "bandwidth.csv", ["u", "x", "z", "bandwidth", "reciprocal"],
+        u_grid, *pts.T, b, 1.0 / b,
     ))
     return written
 
@@ -508,7 +509,6 @@ def cmd_resolution(cfg: ExperimentConfig, out: Path, archs: tuple) -> list:
             n_scene=cfg.n_scene,
             n_targets=cfg.res_n_targets,
             oversample=cfg.res_oversample,
-            keep_profiles=True,
         )
         curves[arch] = curve
         token = _arch_token(arch)
@@ -519,11 +519,11 @@ def cmd_resolution(cfg: ExperimentConfig, out: Path, archs: tuple) -> list:
                 out / f"psf_{method}_{token}.csv", header, curve.profile_coords, *mags.T))
 
     first = curves[archs[0]]
-    for u, b in zip(first.positions, first.reciprocal_bandwidth):
-        _check(
-            abs(b - 1.0 / bandwidth(scene.point(u), scene, aperture, wave)) <= 1e-12,
-            "reciprocal bandwidth column inconsistent with the kspace module",
-        )
+    recip_b = 1.0 / bandwidth(scene.points(first.positions), scene, aperture, wave)
+    _check(
+        np.all(np.abs(first.reciprocal_bandwidth - recip_b) <= 1e-12),
+        "reciprocal bandwidth column inconsistent with the kspace module",
+    )
 
     header = ["position", "reciprocal_bandwidth"]
     cols = [first.positions, first.reciprocal_bandwidth]

@@ -138,6 +138,17 @@ class SceneSegment:
         return "G4" if shifted else "G3"
 
 
+def _x_and_depth(scene_point, aperture: Aperture) -> tuple:
+    """(x', z' + D) of one point or an (m, 2) array of points; raises
+    ValueError if any point lies on or behind the aperture plane."""
+    p = np.asarray(scene_point, dtype=float)
+    dz = p[..., 1] - aperture.z_plane
+    if np.any(dz <= 0.0):
+        raise ValueError(f"scene point z'={p[..., 1][dz <= 0.0].flat[0]} lies on or behind "
+                         f"the aperture plane z={aperture.z_plane}")
+    return p[..., 0], dz
+
+
 def path_length(x_on_aperture: float, scene_point, aperture: Aperture) -> float:
     """One-way propagation distance from an aperture element to a scene point.
 
@@ -155,32 +166,25 @@ def path_length(x_on_aperture: float, scene_point, aperture: Aperture) -> float:
     float
         Euclidean distance sqrt((x - x')^2 + (z' + D)^2).
     """
-    xp, zp = float(scene_point[0]), float(scene_point[1])
-    dz = zp - aperture.z_plane
-    if dz <= 0.0:
-        raise ValueError(
-            f"scene point z'={zp} lies on or behind the aperture plane z={aperture.z_plane}"
-        )
+    xp, dz = _x_and_depth(scene_point, aperture)
     return math.hypot(x_on_aperture - xp, dz)
 
 
-def element_view_angle(x_on_aperture: float, scene_point, aperture: Aperture) -> float:
-    """Viewing angle of a single aperture element toward a scene point.
+def element_view_angle(x_on_aperture: float, scene_point, aperture: Aperture):
+    """Viewing angle of a single aperture element toward scene points.
 
     Measured from the range (z) axis; positive when the scene point lies on
-    the +x side of the element.
+    the +x side of the element.  scene_point is one point (x', z') or an
+    (m, 2) array of points, all in front of the aperture plane; the result
+    is a float or an (m,) array.
     """
-    xp, zp = float(scene_point[0]), float(scene_point[1])
-    dz = zp - aperture.z_plane
-    if dz <= 0.0:
-        raise ValueError(
-            f"scene point z'={zp} lies on or behind the aperture plane z={aperture.z_plane}"
-        )
-    return math.atan2(xp - x_on_aperture, dz)
+    xp, dz = _x_and_depth(scene_point, aperture)
+    angle = np.arctan2(xp - x_on_aperture, dz)
+    return float(angle) if angle.ndim == 0 else angle
 
 
-def viewing_angles(scene_point, aperture: Aperture) -> tuple[float, float]:
-    """Angular extent [alpha, beta] under which the aperture sees a point.
+def viewing_angles(scene_point, aperture: Aperture) -> tuple:
+    """Angular extent [alpha, beta] under which the aperture sees points.
 
     alpha is the angle subtended at the far edge a2, beta at the near edge
     a1, both measured from the range axis; alpha <= beta always because the
@@ -188,8 +192,9 @@ def viewing_angles(scene_point, aperture: Aperture) -> tuple[float, float]:
 
     Returns
     -------
-    (float, float)
-        (alpha, beta) in radians, each in (-pi/2, pi/2).
+    (float, float) or ((m,) array, (m,) array)
+        (alpha, beta) in radians, each in (-pi/2, pi/2), for one point
+        (x', z') or for an (m, 2) array of points.
     """
     beta = element_view_angle(aperture.a1, scene_point, aperture)
     alpha = element_view_angle(aperture.a2, scene_point, aperture)

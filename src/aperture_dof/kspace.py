@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import TWO_PI, Aperture, SceneSegment, WaveContext, viewing_angles
+from .geometry import (TWO_PI, Aperture, SceneSegment, WaveContext, element_view_angle,
+                       viewing_angles)
 
 _HALF_PI = 0.5 * math.pi
 
@@ -159,20 +160,21 @@ def project_points_onto_line(points: np.ndarray, line_angle: float) -> tuple[flo
     return float(proj.min()), float(proj.max())
 
 
-def _project_arc(radius: float, alpha: float, beta: float, line_angle: float) -> tuple[float, float]:
-    # projection of radius*(sin(phi), cos(phi)) onto the axis is
-    # radius*sin(phi + line_angle); extrema at the span ends or where
-    # phi + line_angle hits +-pi/2
-    def val(phi):
-        return radius * math.sin(phi + line_angle)
+def _project_arc(radius: float, alpha, beta, line_angle) -> tuple:
+    """[min, max] in cycles/m of the arc radius*(sin(phi), cos(phi)), phi in
+    [alpha, beta], projected onto the line at line_angle; broadcasts.
 
-    cands = [val(alpha), val(beta)]
-    for stat in (_HALF_PI, -_HALF_PI):
-        for shift in (-TWO_PI, 0.0, TWO_PI):
-            phi = stat - line_angle + shift
-            if alpha < phi < beta:
-                cands.append(val(phi))
-    return min(cands) / TWO_PI, max(cands) / TWO_PI
+    The projection is radius*sin(phi + line_angle).  Over the phase span
+    (lo, hi] its extrema are the values at the two ends, or +-radius where
+    the span meets +-pi/2 + 2*pi*j: where the largest such phase not above
+    hi lies above lo.
+    """
+    lo, hi = np.add(alpha, line_angle), np.add(beta, line_angle)
+    ends = radius * np.sin(lo), radius * np.sin(hi)
+    meets = lambda stat: np.floor((hi - stat) / TWO_PI) * TWO_PI + stat > lo
+    top = np.where(meets(_HALF_PI), radius, np.maximum(*ends))
+    bottom = np.where(meets(-_HALF_PI), -radius, np.minimum(*ends))
+    return bottom / TWO_PI, top / TWO_PI
 
 
 def project_onto_line(spectral_set: SpectralSet, line_angle: float) -> tuple[float, float]:
@@ -186,9 +188,9 @@ def project_onto_line(spectral_set: SpectralSet, line_angle: float) -> tuple[flo
         sampled sets by exhaustive min/max over their samples.
     """
     if spectral_set.kind == "mono-arc":
-        return _project_arc(
-            spectral_set.radius, spectral_set.alpha, spectral_set.beta, line_angle
-        )
+        lo, hi = _project_arc(spectral_set.radius, spectral_set.alpha, spectral_set.beta,
+                              line_angle)
+        return float(lo), float(hi)
     return project_points_onto_line(spectral_set.samples, line_angle)
 
 
@@ -202,16 +204,18 @@ def scene_projection_angle(scene: SceneSegment) -> float:
     return -scene.theta
 
 
-def bandwidth(scene_point, scene: SceneSegment, aperture: Aperture, wave: WaveContext) -> float:
-    """Spatial-frequency bandwidth B of one scene point, in cycles/m.
+def bandwidth(scene_point, scene: SceneSegment, aperture: Aperture, wave: WaveContext):
+    """Spatial-frequency bandwidth B of scene points, in cycles/m.
 
-    Width of the point's k-space arc projected onto the scene's
-    non-redundant line.  By the projection identity this is the same for
-    monostatic and multistatic arrays, so the mono arc is used.
+    Width of each point's k-space arc (radius 2k over its viewing angles)
+    projected onto the scene's non-redundant line.  By the projection
+    identity this is the same for monostatic and multistatic arrays, so the
+    mono arc is used.  scene_point is one point (x', z') or an (m, 2) array
+    of points; the result is a float or an (m,) array.
     """
-    spectrum = mono_spectrum(scene_point, aperture, wave)
-    lo, hi = project_onto_line(spectrum, scene_projection_angle(scene))
-    return hi - lo
+    alpha, beta = viewing_angles(scene_point, aperture)
+    lo, hi = _project_arc(2.0 * wave.k, alpha, beta, scene_projection_angle(scene))
+    return float(hi - lo) if np.ndim(hi) == 0 else hi - lo
 
 
 def effective_monostatic_point(
@@ -229,8 +233,6 @@ def effective_monostatic_point(
     The equivalence holds per scatterer only; different scene points map the
     same pair to different x_eff.
     """
-    from .geometry import element_view_angle
-
     theta_tx = element_view_angle(x_tx, scene_point, aperture)
     theta_rx = element_view_angle(x_rx, scene_point, aperture)
     mid = 0.5 * (theta_tx + theta_rx)

@@ -86,10 +86,6 @@ class ResolutionCurve:
                 )
 
 
-def _spectrum_for(op: DiscreteOperator, spectrum: SvdSpectrum | None) -> SvdSpectrum:
-    return svd(op) if spectrum is None else spectrum
-
-
 def _weighted_column(op: DiscreteOperator, data: np.ndarray) -> np.ndarray:
     """Physical measurement vector -> weighted data column (n_rows, 1)."""
     data = np.asarray(data)
@@ -129,7 +125,7 @@ def reconstruct_pinv(
         Precomputed SVD of `op` to reuse across calls.
     """
     data_w = _weighted_column(op, data)
-    return _profile(op, _spectrum_for(op, spectrum), data_w, "pinv", rank)
+    return _profile(op, spectrum or svd(op), data_w, "pinv", rank)
 
 
 def reconstruct_mf(op: DiscreteOperator, data: np.ndarray) -> ImageProfile:
@@ -171,7 +167,7 @@ def psf(
     # an explicit check: a negative index would wrap around in the column slice
     if not (0 <= scene_point_index < op.scene_u.size):
         raise ValueError(f"scene index {scene_point_index} outside grid of {op.scene_u.size}")
-    sp = _spectrum_for(op, spectrum) if method == "pinv" else None
+    sp = (spectrum or svd(op)) if method == "pinv" else None
     if method == "pinv" and rank is None:
         rank = dof_knee(sp)
     return _profile(op, sp, _unit_scatterer_data(op, [scene_point_index]), method, rank,
@@ -256,8 +252,6 @@ def resolution_sweep(
     n_targets: int = 21,
     oversample: int = 4,
     rank: int | None = None,
-    spectrum: SvdSpectrum | None = None,
-    keep_profiles: bool = False,
 ) -> ResolutionCurve:
     """PSF beamwidths across the scene with the 1/B benchmark.
 
@@ -267,9 +261,9 @@ def resolution_sweep(
     bandwidth at the same points.  Edge-clipped mainlobes are flagged, not
     dropped.
 
-    PINV truncation uses `rank`, defaulting to the -10 dB knee.  With
-    keep_profiles the complex fine-grid PSFs are returned on the curve
-    (profiles[method] has shape (n_fine, n_targets)).
+    PINV truncation uses `rank`, defaulting to the -10 dB knee.  The
+    complex fine-grid PSFs are returned on the curve (profiles[method] has
+    shape (n_fine, n_targets)).
     """
     for m in methods:
         if m not in ("pinv", "mf"):
@@ -280,7 +274,7 @@ def resolution_sweep(
         raise ValueError("aperture does not match the array's aperture")
 
     op = build_operator(scene, array, wave, n_scene)
-    sp = _spectrum_for(op, spectrum)
+    sp = svd(op)
     if rank is None:
         rank = dof_knee(sp)
 
@@ -312,15 +306,12 @@ def resolution_sweep(
         widths[method] = w
         flagged[method] = f
 
-    recip_b = np.array(
-        [1.0 / bandwidth(scene.point(u), scene, aperture, wave) for u in positions]
-    )
     return ResolutionCurve(
         positions=positions,
         widths=widths,
         flagged=flagged,
-        reciprocal_bandwidth=recip_b,
+        reciprocal_bandwidth=1.0 / bandwidth(scene.points(positions), scene, aperture, wave),
         grid_spacing=scene.length / (n_scene * oversample),
-        profiles=profiles if keep_profiles else None,
-        profile_coords=u_fine if keep_profiles else None,
+        profiles=profiles,
+        profile_coords=u_fine,
     )

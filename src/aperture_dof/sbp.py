@@ -85,6 +85,8 @@ def sbp_numeric(
 ) -> SbpResult:
     """Trapezoidal integral of the per-point bandwidth over the scene.
 
+    B is evaluated on the whole u-grid in one array-valued bandwidth call.
+
     Parameters
     ----------
     scene : SceneSegment
@@ -102,8 +104,7 @@ def sbp_numeric(
     if n_points < 16:
         raise ValueError("need n_points >= 16")
     u = np.linspace(-scene.half_length, scene.half_length, n_points)
-    pts = scene.points(u)
-    b = np.array([bandwidth(p, scene, aperture, wave) for p in pts])
+    b = bandwidth(scene.points(u), scene, aperture, wave)
     value = float(np.trapezoid(b, u))
     return SbpResult(value=value, method="numeric-integral")
 

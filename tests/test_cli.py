@@ -118,6 +118,17 @@ def test_radian_angles_and_spacing(tmp_path):
         ("[DEFAULT]\nseed = 2\n[geometry]\nL1 = 1cm\n",
          re.escape("[DEFAULT]: unknown section")),
         ("[DEFAULT]\nseed = 2\n[run]\nsvg = no\n", re.escape("[DEFAULT]: unknown section")),
+        ("[sweep]\nparam = L2\nvalues = 0cm, 5cm\n",
+         re.escape("[sweep] values: L2 = 0 m breaks [geometry] L2: empty scene, "
+                   "must be positive")),
+        ("[sweep]\nparam = L2\nvalues = -5cm\n",
+         re.escape("[sweep] values: L2 = -0.05 m breaks [geometry] L2: empty scene, "
+                   "must be positive")),
+        ("[sweep]\nparam = D\nvalues = 0cm\n",
+         re.escape("[sweep] values: D = 0 m breaks [geometry] D: must be positive")),
+        ("[sweep]\nparam = theta\nvalues = 95deg\n",
+         re.escape("[sweep] values: theta = 1.65806279 rad breaks [geometry] theta: "
+                   "|theta| must be <= 90 deg")),
     ],
 )
 def test_config_rejection_names_the_offender(tmp_path, body, fragment):

@@ -159,3 +159,21 @@ def test_element_view_angle_sign():
     assert element_view_angle(-0.05, (0.0, 0.0), ap) > 0.0
     assert element_view_angle(0.05, (0.0, 0.0), ap) < 0.0
     assert element_view_angle(0.0, (0.0, 0.0), ap) == 0.0
+
+
+def test_viewing_angles_of_a_point_array_equal_per_point_results(aperture):
+    rng = np.random.default_rng(3)
+    pts = np.column_stack([rng.uniform(-0.3, 0.3, 50), rng.uniform(-0.15, 0.4, 50)])
+    alpha, beta = viewing_angles(pts, aperture)
+    assert alpha.shape == beta.shape == (50,)
+    per_point = np.array([viewing_angles(p, aperture) for p in pts])
+    np.testing.assert_array_equal(alpha, per_point[:, 0])
+    np.testing.assert_array_equal(beta, per_point[:, 1])
+
+
+def test_point_array_with_one_point_behind_the_aperture_is_rejected(aperture):
+    pts = np.array([[0.0, 0.0], [0.01, 0.05], [0.02, aperture.z_plane], [0.0, 0.1]])
+    with pytest.raises(ValueError, match="on or behind the aperture plane"):
+        viewing_angles(pts, aperture)
+    with pytest.raises(ValueError, match="on or behind the aperture plane"):
+        element_view_angle(0.0, pts, aperture)

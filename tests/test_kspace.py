@@ -20,7 +20,7 @@ from aperture_dof.kspace import (
     effective_monostatic_point,
     sample_point,
 )
-from aperture_dof.geometry import element_view_angle
+from aperture_dof.geometry import TWO_PI, element_view_angle
 
 # per-point bandwidth at the center of the nominal centered broadside scene,
 # regression-frozen (cycles per meter)
@@ -102,6 +102,60 @@ def test_arc_projection_matches_dense_sampling(aperture, wave):
         # exact extrema bound the samples, up to endpoint rounding
         eps = 1e-12 * wave.k
         assert lo_a <= lo_d + eps and hi_a >= hi_d - eps
+
+
+@given(
+    line_angle=st.floats(-3.0 * math.pi, 3.0 * math.pi),
+    xp=st.floats(-0.3, 0.3),
+    frac=st.floats(0.0, 1.0),
+    j=st.integers(-1, 1),
+    sign=st.sampled_from([-1.0, 1.0]),
+)
+@settings(max_examples=40, deadline=None)
+def test_closed_form_arc_projection_wraps_around(line_angle, xp, frac, j, sign):
+    # line angles in [-3pi, 3pi] put the stationary phases +-pi/2 + 2*pi*j
+    # at j = -1, 0, 1; besides a free angle, each example builds one whose
+    # stationary phase lands at `frac` of the span, which a free draw rarely hits
+    wave = WaveContext(0.005)
+    spec = mono_spectrum((xp, 0.0), Aperture.centered(0.15, 0.2), wave)
+    phi = spec.alpha + frac * (spec.beta - spec.alpha)
+    dense = spec.arc_samples(200001)
+    for angle in (line_angle, sign * 0.5 * math.pi + TWO_PI * j - phi):
+        lo_a, hi_a = project_onto_line(spec, angle)
+        lo_d, hi_d = project_points_onto_line(dense, angle)
+        assert lo_a == pytest.approx(lo_d, abs=1e-6 * wave.k)
+        assert hi_a == pytest.approx(hi_d, abs=1e-6 * wave.k)
+        eps = 1e-12 * wave.k
+        assert lo_a <= lo_d + eps and hi_a >= hi_d - eps
+
+
+@pytest.mark.parametrize(
+    "scene",
+    [
+        SceneSegment(0.05),
+        SceneSegment(0.05, 0.6),
+        SceneSegment(0.05, 0.0, 0.12),
+        SceneSegment(0.05, -0.4, 0.08),
+        SceneSegment(0.05, 0.5 * math.pi, 0.03),
+        SceneSegment(0.05, -0.5 * math.pi),
+    ],
+    ids=["broadside", "tilted", "shifted", "tilted-shifted", "range+pi/2", "range-pi/2"],
+)
+def test_bandwidth_of_a_point_set_equals_per_point_calls(aperture, wave, scene):
+    u = np.linspace(-scene.half_length, scene.half_length, 37)
+    b = bandwidth(scene.points(u), scene, aperture, wave)
+    assert b.shape == (u.size,)
+    per_point = [bandwidth(scene.point(ui), scene, aperture, wave) for ui in u]
+    assert all(isinstance(v, float) for v in per_point)
+    np.testing.assert_array_equal(b, per_point)
+
+
+def test_bandwidth_rejects_a_point_set_with_one_point_behind_the_aperture(aperture, wave):
+    scene = SceneSegment(0.05)
+    pts = scene.points(np.linspace(-0.05, 0.05, 5))
+    pts[3, 1] = -aperture.standoff - 0.01
+    with pytest.raises(ValueError, match="behind the aperture plane"):
+        bandwidth(pts, scene, aperture, wave)
 
 
 @given(

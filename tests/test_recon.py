@@ -228,11 +228,10 @@ def test_resolution_sweep_shapes_and_benchmark():
         assert np.all(np.isnan(curve.widths[method][~ok]))
     assert np.all(curve.reciprocal_bandwidth > 0.0)
     assert curve.grid_spacing == pytest.approx(L2 / 160)
-    assert curve.profiles is None
 
 
 def test_resolution_sweep_keeps_profiles_on_request():
-    curve = _sweep(keep_profiles=True, methods=("mf",))
+    curve = _sweep(methods=("mf",))
     assert set(curve.profiles) == {"mf"}
     assert curve.profiles["mf"].shape == (160, 5)
     assert curve.profile_coords.size == 160
@@ -249,7 +248,6 @@ def test_oversampled_psf_is_one_column_of_the_sweep(architecture):
     scene, wave = SceneSegment(L2 / 2), WaveContext(LAM)
     curve = resolution_sweep(
         scene, ap, wave, layout, n_scene=40, n_targets=3, oversample=3,
-        keep_profiles=True,
     )
     op = build_operator(scene, layout, wave, 40)
     idx = np.searchsorted(op.scene_u, curve.positions)

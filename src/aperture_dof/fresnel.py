@@ -154,32 +154,6 @@ class FresnelEquivalenceReport:
     effective: ApertureFunction
 
 
-def _pair_singular_values(
-    tx_pos, rx_pos, tx_w: float, rx_w: float, x_scene, col_w, D: float,
-    wave: WaveContext, kernel: str,
-) -> np.ndarray:
-    """Singular values of the (N_tx*N_rx) x n_scene pair operator.
-
-    Both kernels factor per element, so the Gram matrix is the elementwise
-    product of the one-way Tx and Rx Grams; the pair rows are never formed.
-    """
-    k = wave.k
-    if kernel == "fresnel":
-        q = k / (2.0 * D)
-        f_tx = np.exp(-1j * (k * D + q * (tx_pos[:, None] - x_scene[None, :]) ** 2))
-        f_rx = np.exp(-1j * (k * D + q * (rx_pos[:, None] - x_scene[None, :]) ** 2))
-    elif kernel == "exact":
-        # aperture on z = 0, parallel scene at z = D
-        points = np.stack([x_scene, np.full_like(x_scene, D)], axis=-1)
-        f_tx = _one_way_phases(tx_pos, points, 0.0, k)
-        f_rx = _one_way_phases(rx_pos, points, 0.0, k)
-    else:
-        raise ValueError(f"unknown kernel {kernel!r}")
-    gram = _factored_gram(f_tx * math.sqrt(tx_w), f_rx * math.sqrt(rx_w), col_w)
-    evals = np.linalg.eigvalsh(gram)
-    return np.sqrt(np.clip(evals[::-1], 0.0, None))
-
-
 def fresnel_equivalence_check(
     array: ArrayLayout,
     scene: SceneSegment,
@@ -191,8 +165,11 @@ def fresnel_equivalence_check(
     """Compare singular values of a multistatic array against its effective
     monostatic replacement in the Fresnel regime.
 
-    The pair side propagates with `kernel` ('fresnel' or 'exact'); the
-    effective side always uses the monostatic Fresnel kernel on the
+    The pair side is the Born operator in the package frame (aperture on
+    z = -D, scene on z = 0): its one-way factors come from the operator's
+    phase kernel with `kernel` ('exact' or its 'fresnel' specialization),
+    and its singular values from the eigenvalues of their factored Gram.
+    The effective side always uses the monostatic Fresnel kernel on the
     effective_aperture positions.  Per-pair Fresnel phase masks are unit
     modulus row scalings, and rows sharing a midpoint differ only by such
     masks, so duplicates collapse into one row scaled by sqrt(multiplicity)
@@ -215,14 +192,16 @@ def fresnel_equivalence_check(
     if D <= 0.0:
         raise ValueError("standoff must be positive")
 
-    du = scene.length / n_scene
-    x_scene = scene.shift - scene.half_length + (np.arange(n_scene) + 0.5) * du
-    col_w = np.full(n_scene, du)
+    points = scene.points(scene.midpoints(n_scene))
+    col_w = np.full(n_scene, scene.length / n_scene)
 
-    sig_pair = _pair_singular_values(
-        array.tx_positions, array.rx_positions, array.tx_weight, array.rx_weight,
-        x_scene, col_w, D, wave, kernel,
-    )
+    # the pair rows are Khatri-Rao products of one-way factors, so their
+    # Gram is the elementwise product of the one-way Grams
+    f_tx = _one_way_phases(array.tx_positions, points, -D, wave.k, kernel)
+    f_rx = _one_way_phases(array.rx_positions, points, -D, wave.k, kernel)
+    evals = np.linalg.eigvalsh(_factored_gram(
+        f_tx * math.sqrt(array.tx_weight), f_rx * math.sqrt(array.rx_weight), col_w))
+    sig_pair = np.sqrt(np.clip(evals[::-1], 0.0, None))
 
     eff = effective_aperture(
         ApertureFunction.from_positions(array.tx_positions, wave.wavelength / 1000.0),
@@ -230,7 +209,7 @@ def fresnel_equivalence_check(
         merge_tol=wave.wavelength / 1000.0,
     )
     x_eff = eff.positions[:, None]
-    kern = fresnel_kernel_midpoint(x_eff, x_eff, x_scene[None, :], D, wave)
+    kern = fresnel_kernel_midpoint(x_eff, x_eff, points[None, :, 0], D, wave)
     row_scale = np.sqrt(eff.multiplicities * array.tx_weight * array.rx_weight)
     m_eff = kern * row_scale[:, None] * np.sqrt(col_w)[None, :]
     sig_eff = np.linalg.svd(m_eff, compute_uv=False)

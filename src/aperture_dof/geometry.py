@@ -115,6 +115,11 @@ class SceneSegment:
     def length(self) -> float:
         return 2.0 * self.half_length
 
+    def midpoints(self, n: int) -> np.ndarray:
+        """Scene coordinates u of the midpoints of n equal cells tiling the
+        segment; the one scene grid of the operator, images and Fresnel check."""
+        return -self.half_length + (np.arange(n) + 0.5) * (self.length / n)
+
     def point(self, u: float) -> tuple[float, float]:
         """Scene point p(u) = (t + u*cos(theta), -u*sin(theta))."""
         return (self.shift + u * math.cos(self.theta), -u * math.sin(self.theta))

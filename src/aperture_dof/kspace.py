@@ -109,17 +109,6 @@ def mono_spectrum(scene_point, aperture: Aperture, wave: WaveContext) -> Spectra
     return SpectralSet(kind="mono-arc", radius=2.0 * wave.k, alpha=alpha, beta=beta)
 
 
-def arc_spectrum(alpha: float, beta: float, wave: WaveContext) -> SpectralSet:
-    """Mono-style arc built directly from an angular span.
-
-    Supports the degenerate single-element case alpha == beta, which has no
-    Aperture representation.
-    """
-    if alpha > beta:
-        raise ValueError(f"need alpha <= beta, got [{alpha}, {beta}]")
-    return SpectralSet(kind="mono-arc", radius=2.0 * wave.k, alpha=alpha, beta=beta)
-
-
 def multi_spectrum(
     scene_point, aperture: Aperture, wave: WaveContext, n_samples: int = 512
 ) -> SpectralSet:

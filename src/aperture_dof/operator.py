@@ -129,11 +129,21 @@ class DiscreteOperator:
         return np.sqrt(self.row_weights) * np.asarray(data)
 
 
-def _one_way_phases(positions: np.ndarray, points: np.ndarray, z_plane: float, k: float) -> np.ndarray:
-    """exp(-jk R) from each of n positions to each of m scene points; (n, m)."""
+def _one_way_phases(positions: np.ndarray, points: np.ndarray, z_plane: float, k: float,
+                    kernel: str = "exact") -> np.ndarray:
+    """exp(-jk R) from each of n positions on the line z = z_plane to each of
+    m scene points (x', z'); (n, m).
+
+    With dx = x - x' and dz = z' - z_plane, kernel 'exact' takes
+    R = hypot(dx, dz) and 'fresnel' the paraxial R = dz + dx^2/(2 dz).
+    """
     dx = positions[:, None] - points[None, :, 0]
-    dz = z_plane - points[None, :, 1]
-    return np.exp(-1j * k * np.hypot(dx, dz))
+    dz = points[None, :, 1] - z_plane
+    if kernel == "exact":
+        return np.exp(-1j * k * np.hypot(dx, dz))
+    if kernel == "fresnel":
+        return np.exp(-1j * (k * dz + k / (2.0 * dz) * dx ** 2))
+    raise ValueError(f"unknown kernel {kernel!r}")
 
 
 def build_operator(
@@ -156,7 +166,7 @@ def build_operator(
     if n_scene < 2:
         raise ValueError("need n_scene >= 2")
     du = scene.length / n_scene
-    scene_u = -scene.half_length + (np.arange(n_scene) + 0.5) * du
+    scene_u = scene.midpoints(n_scene)
     points = scene.points(scene_u)
     z_plane = array.aperture.z_plane
     if points[:, 1].min() <= z_plane:

@@ -184,8 +184,7 @@ def _images(op: DiscreteOperator, spectrum: SvdSpectrum | None, data_w: np.ndarr
     images are adjoints of the data; PINV images expand the data on the top
     `rank` left vectors, whose adjoints are sigma_i * psi_i.
     """
-    n_fine = op.scene_u.size * oversample
-    u_fine = -op.scene.half_length + (np.arange(n_fine) + 0.5) * (op.scene.length / n_fine)
+    u_fine = op.scene.midpoints(op.scene_u.size * oversample)
     adjoint_of = {}
     if "mf" in methods:
         adjoint_of["mf"] = data_w

@@ -303,6 +303,31 @@ def test_resolution_command(tmp_path):
     assert len(rows) == 48 * 2
 
 
+def test_resolution_check_catches_a_wrong_bandwidth(tmp_path, monkeypatch, capsys):
+    import aperture_dof.recon as recon
+
+    true_bandwidth = recon.bandwidth
+    monkeypatch.setattr(recon, "bandwidth", lambda *a: 2.0 * true_bandwidth(*a))
+    body = NOMINAL.replace("architecture = both", "architecture = mono") + (
+        "\n[resolution]\nn_targets = 3\noversample = 2\n"
+    )
+    cfg = write_config(tmp_path, body)
+    assert main(["resolution", "--config", str(cfg)]) == 1
+    assert "reciprocal bandwidth" in capsys.readouterr().err
+
+
+def test_out_of_memory_exits_1(tmp_path, monkeypatch, capsys):
+    import aperture_dof.cli as cli
+
+    def exhausted(*_):
+        raise MemoryError("Unable to allocate 23.8 GiB")
+
+    monkeypatch.setattr(cli, "build_operator", exhausted)
+    cfg = write_config(tmp_path, NOMINAL)
+    assert main(["svd", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("error: Unable to allocate")
+
+
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["spectrum", "--config", "x.cfg"])

@@ -19,7 +19,7 @@ from aperture_dof import (
     sbp_closed_form_g1,
     sbp_g3_fresnel,
 )
-from aperture_dof.fresnel import fresnel_kernel_midpoint, _pair_singular_values
+from aperture_dof.fresnel import fresnel_kernel_midpoint
 
 from conftest import LAM, L1, L2, D
 
@@ -155,10 +155,9 @@ def test_pair_singular_values_match_dense_assembly():
     x = -L2 / 2 + (np.arange(n_scene) + 0.5) * du
     col_w = np.full(n_scene, du)
     for kernel in ("fresnel", "exact"):
-        sig = _pair_singular_values(
-            layout.tx_positions, layout.rx_positions,
-            layout.tx_weight, layout.rx_weight, x, col_w, D, wave, kernel,
-        )
+        sig = fresnel_equivalence_check(
+            layout, SceneSegment(L2 / 2), wave, kernel=kernel, n_scene=n_scene,
+        ).sigma_pair
         rows = []
         for xt in layout.tx_positions:
             for xr in layout.rx_positions:

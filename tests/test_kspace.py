@@ -16,7 +16,6 @@ from aperture_dof import (
     scene_projection_angle,
 )
 from aperture_dof.kspace import (
-    arc_spectrum,
     effective_monostatic_point,
     sample_point,
 )
@@ -64,14 +63,6 @@ def test_mono_spectrum_is_2k_arc(aperture, wave):
     # span endpoints are the single-element views from the aperture edges
     assert math.atan2(pts[0, 0], pts[0, 1]) == pytest.approx(spec.alpha)
     assert math.atan2(pts[-1, 0], pts[-1, 1]) == pytest.approx(spec.beta)
-
-
-def test_arc_spectrum_degenerate_span(wave):
-    spec = arc_spectrum(0.3, 0.3, wave)
-    pts = spec.arc_samples(5)
-    assert np.allclose(pts, pts[0])
-    lo, hi = project_onto_line(spec, 0.0)
-    assert hi - lo == pytest.approx(0.0, abs=1e-12)
 
 
 def test_multi_contains_mono_on_the_diagonal(aperture, wave):

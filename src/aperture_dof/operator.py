@@ -10,15 +10,17 @@ accuracy.
 
 A monostatic array of N transceivers yields N rows (x_tx = x_rx); a
 multistatic array yields the full Tx x Rx product, N^2 rows for N = 200.
-For that tall product-form case singular values come from the
-eigen-decomposition of the n_scene x n_scene Gram matrix, which factorizes
-into an elementwise product of two one-way Gram matrices.
+That product is a row-wise Khatri-Rao product of two N x n one-way phase
+factors, and the operator holds only the factors: singular values come
+from the eigen-decomposition of the n_scene x n_scene Gram matrix, an
+elementwise product of two one-way Grams, and images from cross-Grams of
+the factors at the image points and on the grid.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,15 +94,20 @@ class ArrayLayout:
 
 @dataclass(eq=False)
 class DiscreteOperator:
-    """Weighted forward matrix plus the grids and weights that produced it.
+    """Weighted forward operator, held as its one-way phase factors, plus
+    the grids and weights that produced it.
 
     matrix[m, c] = xi(pair_m, p_c) * sqrt(row_weights[m] * col_weights[c]),
     with |xi| = 1.  Rows are measurement pairs (mono: (x_i, x_i); multi:
     row-major over Tx x Rx), columns are scene samples at the midpoint grid
-    scene_u.
+    scene_u.  The matrix is the row-wise Khatri-Rao product of `factors`
+    times diag(sqrt(col_weights)): a monostatic operator has one factor,
+    the weighted round-trip phases (N, n); a multistatic one has the
+    weighted Tx and Rx phases (N_tx, n) and (N_rx, n), so the N^2 x n
+    product is never stored.
     """
 
-    matrix: np.ndarray
+    factors: tuple
     row_weights: np.ndarray
     col_weights: np.ndarray
     scene_u: np.ndarray
@@ -109,20 +116,57 @@ class DiscreteOperator:
     array: ArrayLayout
     scene: SceneSegment
     wave: WaveContext
-    # one-way factors (weighted) for full-product multistatic rows; lets the
-    # Gram and off-grid adjoint avoid touching all N^2 rows
-    tx_factor: np.ndarray | None = field(default=None, repr=False)
-    rx_factor: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
+        return math.prod(f.shape[0] for f in self.factors), self.col_weights.size
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense weighted matrix, materialized anew on every access (a
+        multistatic N = 200, n = 400 operator is 244 MB); no analysis reads
+        it, it is there to check small operators against."""
+        if len(self.factors) == 1:
+            kr = self.factors[0]
+        else:
+            t, r = self.factors
+            kr = (t[:, None, :] * r[None, :, :]).reshape(-1, self.col_weights.size)
+        return kr * np.sqrt(self.col_weights)
+
+    def _apply(self, x: np.ndarray) -> np.ndarray:
+        """Weighted matrix times scene-side x, (n,) or (n, b), from the
+        factors: a multistatic column is (T diag(sqrt(w) x)) R^T, row-major."""
+        cols = x.reshape(x.shape[0], -1) * np.sqrt(self.col_weights)[:, None]
+        if len(self.factors) == 1:
+            out = self.factors[0] @ cols
+        else:
+            t, r = self.factors
+            out = np.stack([((t * c) @ r.T).ravel() for c in cols.T], axis=1)
+        return out.reshape((out.shape[0],) + x.shape[1:])
+
+    def adjoint(self, data_w: np.ndarray) -> np.ndarray:
+        """Weighted matrix^H times weighted data, (n_rows,) or (n_rows, b).
+
+        A multistatic column, viewed as (n_tx, n_rx * b), goes through one
+        GEMM with the conjugated Tx factor, and a Hadamard reduction over Rx
+        against the conjugated Rx factor finishes the double sum.
+        """
+        v = data_w.reshape(data_w.shape[0], -1)
+        if len(self.factors) == 1:
+            out = self.factors[0].conj().T @ v
+        else:
+            t, r = self.factors
+            n_tx, n_rx, n = t.shape[0], r.shape[0], t.shape[1]
+            # g(c, b) = sum_ij conj(t[i, c] r[j, c]) v[(i, j), b]
+            g = (t.conj().T @ v.reshape(n_tx, -1)).reshape(n, n_rx, -1)
+            out = np.einsum("cjb,cj->cb", g, r.conj().T)
+        out *= np.sqrt(self.col_weights)[:, None]
+        return out.reshape((out.shape[0],) + data_w.shape[1:])
 
     def forward(self, gamma: np.ndarray) -> np.ndarray:
         """Physical measurement vector s for scene reflectivity samples."""
         gamma = np.asarray(gamma)
-        s_w = self.matrix @ (np.sqrt(self.col_weights) * gamma)
-        return s_w / np.sqrt(self.row_weights)
+        return self._apply(np.sqrt(self.col_weights) * gamma) / np.sqrt(self.row_weights)
 
     def weight_data(self, data: np.ndarray) -> np.ndarray:
         """Physical measurement values -> weighted coordinates."""
@@ -146,10 +190,22 @@ def _one_way_phases(positions: np.ndarray, points: np.ndarray, z_plane: float, k
     raise ValueError(f"unknown kernel {kernel!r}")
 
 
+def _weighted_factors(array: ArrayLayout, points: np.ndarray, k: float) -> tuple:
+    """The operator's factors at arbitrary scene points (m, 2): the
+    round-trip phases times sqrt(tx_weight) for a monostatic array, the
+    Tx and Rx phases times the square roots of their weights otherwise."""
+    z_plane = array.aperture.z_plane
+    e_tx = _one_way_phases(array.tx_positions, points, z_plane, k)
+    if array.architecture == MONOSTATIC:
+        return (e_tx * e_tx * math.sqrt(array.tx_weight),)
+    e_rx = _one_way_phases(array.rx_positions, points, z_plane, k)
+    return e_tx * math.sqrt(array.tx_weight), e_rx * math.sqrt(array.rx_weight)
+
+
 def build_operator(
     scene: SceneSegment, array: ArrayLayout, wave: WaveContext, n_scene: int = 400
 ) -> DiscreteOperator:
-    """Assemble the weighted forward matrix on a midpoint scene grid.
+    """Assemble the weighted operator's factors on a midpoint scene grid.
 
     Parameters
     ----------
@@ -168,23 +224,14 @@ def build_operator(
     du = scene.length / n_scene
     scene_u = scene.midpoints(n_scene)
     points = scene.points(scene_u)
-    z_plane = array.aperture.z_plane
-    if points[:, 1].min() <= z_plane:
+    if points[:, 1].min() <= array.aperture.z_plane:
         raise ValueError("scene touches or crosses the aperture plane")
 
-    k = wave.k
-    col_w = np.full(n_scene, du)
-    e_tx = _one_way_phases(array.tx_positions, points, z_plane, k)
-
     if array.architecture == MONOSTATIC:
-        matrix = e_tx * e_tx
         row_w = np.full(array.tx_positions.size, array.tx_weight)
         pairs = np.stack([array.tx_positions, array.tx_positions], axis=-1)
-        tx_f = rx_f = None
     else:
-        e_rx = _one_way_phases(array.rx_positions, points, z_plane, k)
-        n_tx, n_rx = e_tx.shape[0], e_rx.shape[0]
-        matrix = (e_tx[:, None, :] * e_rx[None, :, :]).reshape(n_tx * n_rx, n_scene)
+        n_tx, n_rx = array.tx_positions.size, array.rx_positions.size
         row_w = np.full(n_tx * n_rx, array.tx_weight * array.rx_weight)
         pairs = np.stack(
             [
@@ -193,23 +240,16 @@ def build_operator(
             ],
             axis=-1,
         )
-        tx_f = e_tx * math.sqrt(array.tx_weight)
-        rx_f = e_rx * math.sqrt(array.rx_weight)
-
-    matrix *= np.sqrt(row_w)[:, None]
-    matrix *= np.sqrt(col_w)[None, :]
     return DiscreteOperator(
-        matrix=matrix,
+        factors=_weighted_factors(array, points, wave.k),
         row_weights=row_w,
-        col_weights=col_w,
+        col_weights=np.full(n_scene, du),
         scene_u=scene_u,
         scene_points=points,
         pair_positions=pairs,
         array=array,
         scene=scene,
         wave=wave,
-        tx_factor=tx_f,
-        rx_factor=rx_f,
     )
 
 
@@ -257,25 +297,28 @@ class SvdSpectrum:
 def svd(op: DiscreteOperator) -> SvdSpectrum:
     """Singular-value decomposition of the weighted operator.
 
-    Full-product multistatic rows with many more rows than columns go
-    through the n_scene x n_scene Gram matrix built from their one-way
-    factors (_factored_gram), whose eigenvalues are the squared singular
-    values; every other matrix takes a direct SVD.
+    Multistatic operators with many more rows than columns go through the
+    n_scene x n_scene Gram matrix built from their one-way factors
+    (_factored_gram), whose eigenvalues are the squared singular values and
+    whose trace is the squared Frobenius norm; every other operator
+    materializes its small matrix for a direct SVD.
     """
-    m = op.matrix
-    hs = float(np.vdot(m, m).real)
+    n_rows, n_cols = op.shape
     try:
-        if op.tx_factor is not None and m.shape[0] > 4 * m.shape[1]:
-            gram = _factored_gram(op.tx_factor, op.rx_factor, op.col_weights)
+        if len(op.factors) == 2 and n_rows > 4 * n_cols:
+            gram = _factored_gram(*op.factors, op.col_weights)
+            hs = float(np.trace(gram).real)
             evals, evecs = np.linalg.eigh(gram)
             order = np.argsort(evals)[::-1]
             sigma = np.sqrt(np.clip(evals[order], 0.0, None))
             vectors = evecs[:, order]
         else:
+            m = op.matrix
+            hs = float(np.vdot(m, m).real)
             _, sigma, vh = np.linalg.svd(m, full_matrices=False)
             vectors = vh.conj().T
     except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"SVD of {m.shape} operator failed: {exc}") from exc
+        raise RuntimeError(f"SVD of {op.shape} operator failed: {exc}") from exc
     return SvdSpectrum(singular_values=sigma, right_vectors=vectors, hs_norm_sq=hs)
 
 
@@ -286,7 +329,7 @@ def left_vectors(op: DiscreteOperator, spectrum: SvdSpectrum, count: int) -> np.
     sig = spectrum.singular_values[:count]
     if np.any(sig <= 0.0):
         raise ValueError("cannot reconstruct left vectors for zero singular values")
-    return (op.matrix @ spectrum.right_vectors[:, :count]) / sig
+    return op._apply(spectrum.right_vectors[:, :count]) / sig
 
 
 def sigma_bar(spectrum: SvdSpectrum) -> float:
@@ -321,57 +364,29 @@ def dof_knee(spectrum: SvdSpectrum, drop_db: float = -10.0) -> int:
 
 
 def adjoint_to_points(
-    op: DiscreteOperator, vectors: np.ndarray, points: np.ndarray, chunk: int = 8
+    op: DiscreteOperator, coeffs: np.ndarray, points: np.ndarray
 ) -> np.ndarray:
-    """Adjoint of the weighted operator evaluated at arbitrary scene points.
+    """Adjoint image, at arbitrary scene points, of the data op applied to
+    scene-side coefficient columns.
 
-    For each weighted measurement-space column v of `vectors` computes
-    g(q) = sum_m conj(xi(pair_m, q)) * sqrt(row_weight_m) * v[m], the
-    continuous adjoint image sampled at `points`.  Used to evaluate singular
-    vectors and adjoint images on refined grids.
-
-    Full-product multistatic rows never build the (N^2, m) pair kernel: each
-    chunk of vectors, viewed as (n_tx, n_rx * chunk), goes through one GEMM
-    with the conjugated Tx phases, and a Hadamard reduction over Rx against
-    the conjugated Rx phases finishes the double sum.  Monostatic rows use
-    the dense (N, m) pair kernel.
+    For each column c of `coeffs` (weighted scene coordinates) computes
+    g(q) = sum_m conj(xi(pair_m, q)) * sqrt(row_weight_m) * (A c)[m], the
+    continuous adjoint image of the data A c sampled at `points`.  The data
+    are never formed: g = ((T_q^H T) o (R_q^H R)) diag(sqrt(w)) c, the
+    cross-Gram of the factors at the points (T_q, R_q) and on the grid
+    (T, R); a monostatic operator has one factor.
 
     Parameters
     ----------
-    vectors : (n_rows,) or (n_rows, b) array
+    coeffs : (n_scene,) or (n_scene, b) array
     points : (m, 2) scene points
-    chunk : int
-        Vectors processed per pass in the factored multistatic path, bounds
-        the (n_points, n_rx, chunk) temporary.
 
     Returns
     -------
     (m,) or (m, b) complex array
     """
-    single = vectors.ndim == 1
-    v = vectors[:, None] if single else vectors
     points = np.asarray(points, dtype=float)
-    z_plane = op.array.aperture.z_plane
-    k = op.wave.k
-
-    if op.tx_factor is not None:
-        n_tx = op.array.tx_positions.size
-        n_rx = op.array.rx_positions.size
-        et = _one_way_phases(op.array.tx_positions, points, z_plane, k).conj() \
-            * math.sqrt(op.array.tx_weight)
-        er = _one_way_phases(op.array.rx_positions, points, z_plane, k).conj() \
-            * math.sqrt(op.array.rx_weight)
-        n_pts = points.shape[0]
-        out = np.empty((n_pts, v.shape[1]), dtype=complex)
-        for j0 in range(0, v.shape[1], chunk):
-            # g(q, b) = sum_ij et[i, q] er[j, q] v[(i, j), b]: a GEMM sums
-            # over i, then a Hadamard reduction sums over j
-            t = (et.T @ v[:, j0:j0 + chunk].reshape(n_tx, -1)).reshape(n_pts, n_rx, -1)
-            out[:, j0:j0 + chunk] = np.einsum("qjb,qj->qb", t, er.T)
-    else:
-        # monostatic rows pair each element with itself: one phase, squared
-        e = _one_way_phases(op.pair_positions[:, 0], points, z_plane, k)
-        kern = e * e
-        kern *= np.sqrt(op.row_weights)[:, None]
-        out = kern.conj().T @ v
-    return out[:, 0] if single else out
+    cross = np.sqrt(op.col_weights)
+    for at_points, f in zip(_weighted_factors(op.array, points, op.wave.k), op.factors):
+        cross = cross * (at_points.conj().T @ f)
+    return cross @ coeffs

@@ -3,10 +3,13 @@
 Two reconstruction methods: truncated-SVD pseudoinverse (PINV), which for
 noiseless data projects the true reflectivity onto the kept right singular
 vectors, and the matched filter / back-propagation adjoint (MF), which
-weights the same projections by sigma^2.  Every image, on the operator's own
-grid (oversample = 1) or on a finer one, is formed by one routine,
-_images.  Resolution is measured as the 3dB mainlobe width of
-point-scatterer PSFs and benchmarked against the reciprocal bandwidth 1/B.
+weights the same projections by sigma^2.  Both start from one
+back-projection: of arbitrary data through DiscreteOperator.adjoint, on
+the operator's grid, and of point scatterers through one cross-Gram
+routine, _images, on the grid (oversample = 1) or a finer one; PINV then
+applies the same V_r Sigma_r^-2 V_r^H filter.  Resolution is measured as
+the 3dB mainlobe width of point-scatterer PSFs and benchmarked against the
+reciprocal bandwidth 1/B.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from .operator import (
     adjoint_to_points,
     build_operator,
     dof_knee,
-    left_vectors,
     svd,
 )
 
@@ -86,20 +88,26 @@ class ResolutionCurve:
                 )
 
 
-def _weighted_column(op: DiscreteOperator, data: np.ndarray) -> np.ndarray:
-    """Physical measurement vector -> weighted data column (n_rows, 1)."""
+def _back_projection(op: DiscreteOperator, data: np.ndarray) -> np.ndarray:
+    """A^H of a physical measurement vector, in weighted scene coordinates."""
     data = np.asarray(data)
-    if data.shape != (op.matrix.shape[0],):
+    if data.shape != (op.shape[0],):
         raise ValueError(f"data length {data.shape} does not match operator rows")
-    return op.weight_data(data)[:, None]
+    return op.adjoint(op.weight_data(data))
 
 
-def _profile(op: DiscreteOperator, spectrum: SvdSpectrum | None, data_w: np.ndarray,
-             method: str, rank: int | None, oversample: int = 1) -> ImageProfile:
-    """ImageProfile of one weighted data column (n_rows, 1)."""
-    coords, images = _images(op, spectrum, data_w, (method,), rank, oversample)
-    return ImageProfile(coords=coords, values=images[method][:, 0], method=method,
-                        rank=rank if method == "pinv" else None)
+def _pinv_filter(spectrum: SvdSpectrum, rank: int, x: np.ndarray) -> np.ndarray:
+    """V_r Sigma_r^-2 V_r^H x for scene-side columns x (n, b): what turns an
+    MF image into the rank-r PINV image, since A^H A = V Sigma^2 V^H."""
+    sig = spectrum.singular_values
+    if spectrum.right_vectors is None:
+        raise ValueError("spectrum carries no singular vectors")
+    if not (1 <= rank <= sig.size):
+        raise ValueError(f"rank must be in [1, {sig.size}], got {rank}")
+    if sig[rank - 1] <= 0.0:
+        raise ValueError(f"sigma_{rank} is zero; reduce the truncation rank")
+    v_r = spectrum.right_vectors[:, :rank]
+    return v_r @ ((v_r.conj().T @ x) / sig[:rank, None] ** 2)
 
 
 def reconstruct_pinv(
@@ -108,11 +116,14 @@ def reconstruct_pinv(
     rank: int,
     spectrum: SvdSpectrum | None = None,
 ) -> ImageProfile:
-    """Truncated-SVD pseudoinverse image from a physical measurement vector.
+    """Truncated-SVD pseudoinverse image, on the scene grid, from a physical
+    measurement vector.
 
     Keeps the top `rank` singular triplets: gamma = sum (1/sigma_i) psi_i
-    <data, phi_i>.  For data generated by the operator itself this equals
-    the projection of the true reflectivity onto span{psi_1..psi_rank}.
+    <data, phi_i>, computed as V_r Sigma_r^-2 V_r^H applied to the
+    back-projection A^H data.  For data generated by the operator itself
+    this equals the projection of the true reflectivity onto
+    span{psi_1..psi_rank}.
 
     Parameters
     ----------
@@ -124,21 +135,25 @@ def reconstruct_pinv(
     spectrum : SvdSpectrum, optional
         Precomputed SVD of `op` to reuse across calls.
     """
-    data_w = _weighted_column(op, data)
-    return _profile(op, spectrum or svd(op), data_w, "pinv", rank)
+    g_w = _pinv_filter(spectrum or svd(op), rank, _back_projection(op, data)[:, None])
+    return ImageProfile(coords=op.scene_u, values=g_w[:, 0] / np.sqrt(op.col_weights),
+                        method="pinv", rank=rank)
 
 
 def reconstruct_mf(op: DiscreteOperator, data: np.ndarray) -> ImageProfile:
-    """Matched-filter (adjoint / back-propagation) image."""
-    return _profile(op, None, _weighted_column(op, data), "mf", None)
+    """Matched-filter (adjoint / back-propagation) image on the scene grid."""
+    g_w = _back_projection(op, data)
+    return ImageProfile(coords=op.scene_u, values=g_w / np.sqrt(op.col_weights), method="mf")
 
 
-def _unit_scatterer_data(op: DiscreteOperator, indices) -> np.ndarray:
-    """Weighted data columns (n_rows, len(indices)) of unit scatterers at
-    scene grid samples: a delta of amplitude 1/col_weight picks its operator
-    column, scaled by sqrt(col_weight) / col_weight."""
+def _unit_scatterers(op: DiscreteOperator, indices) -> np.ndarray:
+    """Scene-side coefficient columns (n_scene, len(indices)) of unit
+    scatterers at scene grid samples: a delta of amplitude 1/col_weight,
+    which is sqrt(col_weight) / col_weight in weighted coordinates."""
     w = op.col_weights[indices]
-    return op.matrix[:, indices] * (np.sqrt(w) / w)
+    coeffs = np.zeros((op.scene_u.size, len(indices)))
+    coeffs[indices, np.arange(len(indices))] = np.sqrt(w) / w
+    return coeffs
 
 
 def psf(
@@ -164,44 +179,39 @@ def psf(
         raise ValueError(f"unknown method {method!r}")
     if oversample < 1:
         raise ValueError("oversample must be >= 1")
-    # an explicit check: a negative index would wrap around in the column slice
+    # an explicit check: a negative index would wrap around in the delta
     if not (0 <= scene_point_index < op.scene_u.size):
         raise ValueError(f"scene index {scene_point_index} outside grid of {op.scene_u.size}")
     sp = (spectrum or svd(op)) if method == "pinv" else None
     if method == "pinv" and rank is None:
         rank = dof_knee(sp)
-    return _profile(op, sp, _unit_scatterer_data(op, [scene_point_index]), method, rank,
-                    oversample)
+    coords, images = _images(
+        op, sp, _unit_scatterers(op, [scene_point_index]), (method,), rank, oversample)
+    return ImageProfile(coords=coords, values=images[method][:, 0], method=method,
+                        rank=rank if method == "pinv" else None)
 
 
-def _images(op: DiscreteOperator, spectrum: SvdSpectrum | None, data_w: np.ndarray,
+def _images(op: DiscreteOperator, spectrum: SvdSpectrum | None, coeffs: np.ndarray,
             methods: tuple, rank: int | None, oversample: int) -> tuple:
-    """Scene grid u and {method: (u.size, b) image} of the weighted data
-    columns data_w (n_rows, b); the one place an image is formed.
+    """Scene grid u and {method: (u.size, b) image} of the data op applies
+    to the scene-side coefficient columns coeffs (n_scene, b); the one place
+    an image of such data is formed.
 
     The grid has oversample midpoint samples per operator cell, so
     oversample = 1 is the operator's own grid scene_u, bit for bit.  MF
-    images are adjoints of the data; PINV images expand the data on the top
-    `rank` left vectors, whose adjoints are sigma_i * psi_i.
+    images are adjoints of the data A c; PINV images are adjoints of
+    A V_r Sigma_r^-2 V_r^H c.  Every column goes through one cross-Gram
+    (adjoint_to_points), and the N^2-row data are never formed.
     """
     u_fine = op.scene.midpoints(op.scene_u.size * oversample)
-    adjoint_of = {}
+    columns = {}
     if "mf" in methods:
-        adjoint_of["mf"] = data_w
+        columns["mf"] = coeffs
     if "pinv" in methods:
-        sig = spectrum.singular_values
-        if not (1 <= rank <= sig.size):
-            raise ValueError(f"rank must be in [1, {sig.size}], got {rank}")
-        if sig[rank - 1] <= 0.0:
-            raise ValueError(f"sigma_{rank} is zero; reduce the truncation rank")
-        u_r = left_vectors(op, spectrum, rank)
-        coeffs = (u_r.conj().T @ data_w) / sig[:rank, None]
-        adjoint_of["pinv"] = u_r
-    pts = op.scene.points(u_fine)
-    images = {m: adjoint_to_points(op, v, pts) for m, v in adjoint_of.items()}
-    if "pinv" in images:
-        images["pinv"] = (images["pinv"] / sig[:rank]) @ coeffs
-    return u_fine, images
+        columns["pinv"] = _pinv_filter(spectrum, rank, coeffs)
+    stacked = adjoint_to_points(op, np.hstack(list(columns.values())), op.scene.points(u_fine))
+    b = coeffs.shape[1]
+    return u_fine, {m: stacked[:, i * b:(i + 1) * b] for i, m in enumerate(columns)}
 
 
 def beamwidth_3db(profile: ImageProfile) -> float:
@@ -283,10 +293,8 @@ def resolution_sweep(
     idx = np.unique(np.clip(idx, 0, n_scene - 1))
     positions = op.scene_u[idx]
 
-    # batch the fine-grid evaluation: one pass for the singular-vector basis
-    # (target independent) and one for all MF adjoint images
-    u_fine, profiles = _images(
-        op, sp, _unit_scatterer_data(op, idx), methods, rank, oversample)
+    # every target and method in one cross-Gram
+    u_fine, profiles = _images(op, sp, _unit_scatterers(op, idx), methods, rank, oversample)
 
     widths = {}
     flagged = {}

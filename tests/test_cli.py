@@ -328,6 +328,42 @@ def test_out_of_memory_exits_1(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error: Unable to allocate")
 
 
+def _multistatic_gram_config(tmp_path):
+    # 24^2 = 576 rows > 4 * 48 columns: svd takes the factored Gram route
+    body = NOMINAL.replace("architecture = both", "architecture = multi").replace(
+        "svg = true", "svg = false") + "\n[resolution]\nn_targets = 3\noversample = 2\n"
+    return write_config(tmp_path, body)
+
+
+def test_multistatic_commands_never_materialize_the_operator(tmp_path, monkeypatch):
+    from aperture_dof.operator import DiscreteOperator
+
+    def dense(_):
+        raise AssertionError("the dense N^2 x n operator was materialized")
+
+    monkeypatch.setattr(DiscreteOperator, "matrix", property(dense))
+    cfg = _multistatic_gram_config(tmp_path)
+    assert main(["svd", "--config", str(cfg)]) == 0
+    assert main(["resolution", "--config", str(cfg)]) == 0
+
+
+def test_norm_check_catches_a_dropped_rx_weight(tmp_path, monkeypatch, capsys):
+    import dataclasses
+
+    import aperture_dof.cli as cli
+
+    true_build = cli.build_operator
+
+    def unweighted_rx(scene, layout, *args):
+        op = true_build(scene, layout, *args)
+        t, r = op.factors
+        return dataclasses.replace(op, factors=(t, r / math.sqrt(layout.rx_weight)))
+
+    monkeypatch.setattr(cli, "build_operator", unweighted_rx)
+    assert main(["svd", "--config", str(_multistatic_gram_config(tmp_path))]) == 1
+    assert "norm deviates" in capsys.readouterr().err
+
+
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["spectrum", "--config", "x.cfg"])

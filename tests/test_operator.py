@@ -110,6 +110,21 @@ def test_hs_norm_is_exact_for_unit_modulus_kernels():
     assert svd(multi).hs_norm_sq == pytest.approx(L1 * L1 * L2, rel=1e-12)
 
 
+def test_gram_route_norm_is_measured_from_the_factors():
+    # the Gram route reads the norm off the trace of the factored Gram: it
+    # equals the dense norm, and a factor that lost its sqrt(weight) moves
+    # it by exactly that weight instead of leaving the analytic value
+    op = small_operator(MULTISTATIC, n_elements=12, n_scene=30)
+    assert op.shape[0] > 4 * op.shape[1]  # Gram route taken
+    dense = op.matrix
+    hs = svd(op).hs_norm_sq
+    assert hs == pytest.approx(np.vdot(dense, dense).real, rel=1e-12)
+    t, r = op.factors
+    rx_weight = op.array.rx_weight
+    broken = dataclasses.replace(op, factors=(t, r / math.sqrt(rx_weight)))
+    assert svd(broken).hs_norm_sq == pytest.approx(hs / rx_weight, rel=1e-12)
+
+
 @pytest.mark.parametrize("theta,shift", [(0.0, 0.0), (0.5, 0.0), (0.0, 0.12), (0.9, -0.1)])
 def test_hs_norm_invariant_under_scene_motion(theta, shift):
     op = small_operator(MONOSTATIC, n_elements=16, n_scene=24, theta=theta, shift=shift)
@@ -137,7 +152,7 @@ def test_tall_monostatic_spectrum_matches_dense_svd():
     # a tall monostatic matrix has no one-way factors to build a Gram from;
     # its spectrum must be as accurate as a direct SVD
     op = small_operator(MONOSTATIC, n_elements=200, n_scene=40)
-    assert op.tx_factor is None and op.matrix.shape[0] > 4 * op.matrix.shape[1]
+    assert len(op.factors) == 1 and op.matrix.shape[0] > 4 * op.matrix.shape[1]
     sig_dense = np.linalg.svd(op.matrix, compute_uv=False)
     np.testing.assert_allclose(
         svd(op).singular_values, sig_dense, rtol=0, atol=1e-12 * sig_dense[0])
@@ -173,7 +188,7 @@ def test_column_permutation_invariance(seed):
     perm = rng.permutation(18)
     shuffled = dataclasses.replace(
         op,
-        matrix=op.matrix[:, perm],
+        factors=tuple(f[:, perm] for f in op.factors),
         col_weights=op.col_weights[perm],
         scene_u=op.scene_u,  # grid labels are not consulted by svd
         scene_points=op.scene_points,
@@ -237,39 +252,37 @@ def test_left_vectors_orthonormal_and_consistent():
 def test_adjoint_to_points_factored_route_matches_dense():
     rng = np.random.default_rng(3)
     op = small_operator(MULTISTATIC, n_elements=7, n_scene=16)
-    assert op.tx_factor is not None
+    assert len(op.factors) == 2
     pts = op.scene.points(np.linspace(-0.04, 0.04, 11))
-    vecs = random_gamma(rng, op.matrix.shape[0]).reshape(-1, 1)
-    vecs = np.hstack([vecs, random_gamma(rng, op.matrix.shape[0]).reshape(-1, 1)])
-    got = adjoint_to_points(op, vecs, pts, chunk=1)
+    coeffs = np.stack([random_gamma(rng, 16) for _ in range(2)], axis=1)
+    got = adjoint_to_points(op, coeffs, pts)
 
-    # dense oracle straight from the pair kernel
+    # dense oracle straight from the pair kernel, applied to the data A c
     k = op.wave.k
     kern = np.empty((op.matrix.shape[0], 11), dtype=complex)
     for m, (xt, xr) in enumerate(op.pair_positions):
         for q, (xp, zp) in enumerate(pts):
             r = math.hypot(xt - xp, zp + D) + math.hypot(xr - xp, zp + D)
             kern[m, q] = np.exp(-1j * k * r) * math.sqrt(op.row_weights[m])
-    expected = kern.conj().T @ vecs
+    expected = kern.conj().T @ (op.matrix @ coeffs)
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10 * np.abs(expected).max())
 
 
-def test_adjoint_to_points_factored_route_non_square_ragged_chunk():
+def test_adjoint_to_points_factored_route_non_square():
     # 5 Tx and 3 Rx at distinct positions and weights make the (i, j) sum
-    # asymmetric, so a Tx/Rx axis swap fails; 5 columns at chunk=2 leave a
-    # short last chunk
+    # asymmetric, so a Tx/Rx axis swap fails
     rng = np.random.default_rng(5)
     ap = Aperture.centered(L1, D)
     tx = np.array([-0.07, -0.04, 0.0, 0.03, 0.065])
     rx = np.array([-0.05, 0.01, 0.06])
     layout = ArrayLayout(MULTISTATIC, tx, rx, ap, 0.03, 0.05)
     op = build_operator(SceneSegment(L2 / 2.0), layout, WaveContext(LAM), 16)
-    assert op.tx_factor is not None and op.matrix.shape[0] == 15
+    assert len(op.factors) == 2 and op.matrix.shape[0] == 15
     pts = op.scene.points(np.linspace(-0.04, 0.04, 11))
-    vecs = np.stack([random_gamma(rng, 15) for _ in range(5)], axis=1)
-    got = adjoint_to_points(op, vecs, pts, chunk=2)
+    coeffs = np.stack([random_gamma(rng, 16) for _ in range(5)], axis=1)
+    got = adjoint_to_points(op, coeffs, pts)
 
-    # dense oracle straight from the pair kernel
+    # dense oracle straight from the pair kernel, applied to the data A c
     k = op.wave.k
     z = ap.z_plane
     kern = np.empty((15, 11), dtype=complex)
@@ -277,14 +290,20 @@ def test_adjoint_to_points_factored_route_non_square_ragged_chunk():
         for q, (xp, zp) in enumerate(pts):
             r = math.hypot(xt - xp, zp - z) + math.hypot(xr - xp, zp - z)
             kern[m, q] = np.exp(-1j * k * r) * math.sqrt(op.row_weights[m])
-    expected = kern.conj().T @ vecs
+    expected = kern.conj().T @ (op.matrix @ coeffs)
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10 * np.abs(expected).max())
+
+    # the grid back-projection reads the same factors
+    v = np.stack([random_gamma(rng, 15) for _ in range(5)], axis=1)
+    expected = op.matrix.conj().T @ v
+    np.testing.assert_allclose(
+        op.adjoint(v), expected, rtol=0, atol=1e-10 * np.abs(expected).max())
 
 
 def test_adjoint_to_points_on_grid_matches_matrix_adjoint():
     rng = np.random.default_rng(4)
     op = small_operator(MONOSTATIC, n_elements=12, n_scene=18)
-    v = random_gamma(rng, 12)
-    got = adjoint_to_points(op, v, op.scene_points)
-    expected = (op.matrix.conj().T @ v) / np.sqrt(op.col_weights)
+    c = random_gamma(rng, 18)
+    got = adjoint_to_points(op, c, op.scene_points)
+    expected = (op.matrix.conj().T @ (op.matrix @ c)) / np.sqrt(op.col_weights)
     np.testing.assert_allclose(got, expected, rtol=1e-10)

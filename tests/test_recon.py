@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -258,6 +259,21 @@ def test_oversampled_psf_is_one_column_of_the_sweep(architecture):
             np.testing.assert_array_equal(profile.coords, curve.profile_coords)
             np.testing.assert_allclose(
                 profile.values, curve.profiles[method][:, j], rtol=1e-12)
+
+
+def test_multistatic_analysis_memory_does_not_scale_as_n_squared_times_n():
+    # the dense 300^2 x 400 complex operator alone would be 549 MiB
+    ap = Aperture.centered(L1, D)
+    layout = ArrayLayout.uniform(ap, 300, MULTISTATIC)
+    scene, wave = SceneSegment(L2 / 2), WaveContext(LAM)
+    tracemalloc.start()
+    try:
+        svd(build_operator(scene, layout, wave, 400))
+        resolution_sweep(scene, ap, wave, layout, n_scene=400, n_targets=5, oversample=4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 2**20
 
 
 def test_resolution_sweep_rejects_mismatched_aperture():

@@ -56,26 +56,28 @@ class ApertureFunction:
 def _coalesce(positions: np.ndarray, mults: np.ndarray, tol: float):
     """Group sorted-by-position deltas whose positions differ by <= tol.
 
-    Each group is represented by its multiplicity-weighted mean position,
-    which keeps the operation symmetric in its inputs.
+    A group starts at its first point (the anchor) and takes every later
+    point within tol of that anchor, not of its neighbour.  Each group is
+    represented by its multiplicity-weighted mean position, which keeps the
+    operation symmetric in its inputs.
     """
     order = np.argsort(positions, kind="stable")
     pos, mul = positions[order], mults[order]
-    out_pos, out_mul = [], []
-    anchor = pos[0]
-    acc_w = 0.0
-    acc_m = 0
-    for p, m in zip(pos, mul):
-        if p - anchor > tol and acc_m > 0:
-            out_pos.append(acc_w / acc_m)
-            out_mul.append(acc_m)
-            anchor = p
-            acc_w, acc_m = 0.0, 0
-        acc_w += p * m
-        acc_m += int(m)
-    out_pos.append(acc_w / acc_m)
-    out_mul.append(acc_m)
-    return np.array(out_pos), np.array(out_mul, dtype=int)
+    # each group ends at the first p with p - anchor > tol; searchsorted on
+    # anchor + tol can be off by one rounding step, so fix it up against
+    # the exact difference
+    starts = [0]
+    while starts[-1] < pos.size:
+        s = starts[-1]
+        e = max(int(np.searchsorted(pos, pos[s] + tol, side="right")), s + 1)
+        while e > s + 1 and pos[e - 1] - pos[s] > tol:
+            e -= 1
+        while e < pos.size and pos[e] - pos[s] <= tol:
+            e += 1
+        starts.append(e)
+    starts = starts[:-1]
+    acc_m = np.add.reduceat(mul, starts)
+    return np.add.reduceat(pos * mul, starts) / acc_m, acc_m.astype(int)
 
 
 def fresnel_kernel(x_tx, x_rx, u_scene, D: float, wave: WaveContext):
@@ -192,6 +194,33 @@ def fresnel_equivalence_check(
     if D <= 0.0:
         raise ValueError("standoff must be positive")
 
+    effective, sig_eff = _effective_side(array, scene, wave, D, n_scene)
+    return _pair_report(array, scene, wave, D, kernel, n_scene, effective, sig_eff)
+
+
+def _effective_side(array: ArrayLayout, scene: SceneSegment, wave: WaveContext,
+                    D: float, n_scene: int):
+    """The effective monostatic aperture of the Tx/Rx pair and the singular
+    values of its Fresnel operator; independent of the pair side's kernel."""
+    tol = wave.wavelength / 1000.0
+    eff = effective_aperture(
+        ApertureFunction.from_positions(array.tx_positions, tol),
+        ApertureFunction.from_positions(array.rx_positions, tol),
+        merge_tol=tol,
+    )
+    x_eff = eff.positions[:, None]
+    x_scene = scene.points(scene.midpoints(n_scene))[None, :, 0]
+    kern = fresnel_kernel_midpoint(x_eff, x_eff, x_scene, D, wave)
+    row_scale = np.sqrt(eff.multiplicities * array.tx_weight * array.rx_weight)
+    m_eff = kern * row_scale[:, None] * np.sqrt(scene.length / n_scene)
+    return eff, np.linalg.svd(m_eff, compute_uv=False)
+
+
+def _pair_report(array: ArrayLayout, scene: SceneSegment, wave: WaveContext, D: float,
+                 kernel: str, n_scene: int, effective: ApertureFunction,
+                 sig_eff: np.ndarray) -> FresnelEquivalenceReport:
+    """Singular values of the pair side with `kernel`, compared against an
+    already built effective side (see fresnel_equivalence_check)."""
     points = scene.points(scene.midpoints(n_scene))
     col_w = np.full(n_scene, scene.length / n_scene)
 
@@ -202,17 +231,6 @@ def fresnel_equivalence_check(
     evals = np.linalg.eigvalsh(_factored_gram(
         f_tx * math.sqrt(array.tx_weight), f_rx * math.sqrt(array.rx_weight), col_w))
     sig_pair = np.sqrt(np.clip(evals[::-1], 0.0, None))
-
-    eff = effective_aperture(
-        ApertureFunction.from_positions(array.tx_positions, wave.wavelength / 1000.0),
-        ApertureFunction.from_positions(array.rx_positions, wave.wavelength / 1000.0),
-        merge_tol=wave.wavelength / 1000.0,
-    )
-    x_eff = eff.positions[:, None]
-    kern = fresnel_kernel_midpoint(x_eff, x_eff, points[None, :, 0], D, wave)
-    row_scale = np.sqrt(eff.multiplicities * array.tx_weight * array.rx_weight)
-    m_eff = kern * row_scale[:, None] * np.sqrt(col_w)[None, :]
-    sig_eff = np.linalg.svd(m_eff, compute_uv=False)
 
     n = max(sig_pair.size, sig_eff.size)
     a = np.zeros(n)
@@ -226,5 +244,5 @@ def fresnel_equivalence_check(
         max_rel_discrepancy=disc,
         sigma_pair=sig_pair,
         sigma_effective=sig_eff,
-        effective=eff,
+        effective=effective,
     )

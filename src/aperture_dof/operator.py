@@ -294,32 +294,36 @@ class SvdSpectrum:
                 raise ValueError(f"sum rule violated: relative error {rel:.3e}")
 
 
-def svd(op: DiscreteOperator) -> SvdSpectrum:
+def svd(op: DiscreteOperator, vectors: bool = True) -> SvdSpectrum:
     """Singular-value decomposition of the weighted operator.
 
     Multistatic operators with many more rows than columns go through the
     n_scene x n_scene Gram matrix built from their one-way factors
     (_factored_gram), whose eigenvalues are the squared singular values and
     whose trace is the squared Frobenius norm; every other operator
-    materializes its small matrix for a direct SVD.
+    materializes its small matrix for a direct SVD.  With vectors=False only
+    the singular values are computed and right_vectors is None.
     """
     n_rows, n_cols = op.shape
     try:
         if len(op.factors) == 2 and n_rows > 4 * n_cols:
             gram = _factored_gram(*op.factors, op.col_weights)
             hs = float(np.trace(gram).real)
-            evals, evecs = np.linalg.eigh(gram)
+            evals, evecs = np.linalg.eigh(gram) if vectors else (np.linalg.eigvalsh(gram), None)
             order = np.argsort(evals)[::-1]
             sigma = np.sqrt(np.clip(evals[order], 0.0, None))
-            vectors = evecs[:, order]
+            v = None if evecs is None else evecs[:, order]
         else:
             m = op.matrix
             hs = float(np.vdot(m, m).real)
-            _, sigma, vh = np.linalg.svd(m, full_matrices=False)
-            vectors = vh.conj().T
+            if vectors:
+                _, sigma, vh = np.linalg.svd(m, full_matrices=False)
+                v = vh.conj().T
+            else:
+                sigma, v = np.linalg.svd(m, compute_uv=False), None
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"SVD of {op.shape} operator failed: {exc}") from exc
-    return SvdSpectrum(singular_values=sigma, right_vectors=vectors, hs_norm_sq=hs)
+    return SvdSpectrum(singular_values=sigma, right_vectors=v, hs_norm_sq=hs)
 
 
 def left_vectors(op: DiscreteOperator, spectrum: SvdSpectrum, count: int) -> np.ndarray:

@@ -290,7 +290,9 @@ def resolution_sweep(
     u_targets = np.linspace(-scene.half_length, scene.half_length, n_targets + 2)[1:-1]
     du = scene.length / n_scene
     idx = np.round((u_targets - op.scene_u[0]) / du).astype(int)
-    idx = np.unique(np.clip(idx, 0, n_scene - 1))
+    idx = np.clip(idx, 0, n_scene - 1)
+    # idx is non-decreasing; np.unique would import numpy.ma
+    idx = idx[np.concatenate(([True], np.diff(idx) > 0))]
     positions = op.scene_u[idx]
 
     # every target and method in one cross-Gram

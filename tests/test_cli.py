@@ -278,6 +278,19 @@ def test_fresnel_command(tmp_path):
     assert sum(int(r[1]) for r in rows) == 24 * 24
 
 
+def test_fresnel_command_matches_one_check_per_kernel(tmp_path):
+    from aperture_dof import MULTISTATIC, fresnel_equivalence_check
+
+    path = write_config(tmp_path, NOMINAL)
+    assert main(["fresnel", "--config", str(path)]) == 0
+    written = json.loads((tmp_path / "results" / "fresnel.json").read_text())["equivalence"]
+    cfg = ExperimentConfig.from_file(path)
+    for kernel in ("fresnel", "exact"):
+        report = fresnel_equivalence_check(cfg.layout(MULTISTATIC), cfg.scene(), cfg.wave(),
+                                           kernel=kernel, n_scene=cfg.n_scene)
+        assert written[f"{kernel}_kernel_max_rel_discrepancy"] == report.max_rel_discrepancy
+
+
 def test_fresnel_command_rejects_tilted_scene(tmp_path, capsys):
     body = NOMINAL.replace("[geometry]", "[geometry]\ntheta = 10deg")
     cfg = write_config(tmp_path, body)
@@ -347,6 +360,26 @@ def test_multistatic_commands_never_materialize_the_operator(tmp_path, monkeypat
     assert main(["resolution", "--config", str(cfg)]) == 0
 
 
+def test_svd_command_computes_no_singular_vectors(tmp_path, monkeypatch):
+    import aperture_dof.operator as operator
+
+    true_svd = operator.np.linalg.svd
+
+    def eigh(*_args, **_kwargs):
+        raise AssertionError("svd computed eigenvectors")
+
+    def values_only(a, *args, compute_uv=True, **kwargs):
+        if compute_uv:
+            raise AssertionError("svd computed singular vectors")
+        return true_svd(a, *args, compute_uv=False, **kwargs)
+
+    monkeypatch.setattr(operator.np.linalg, "eigh", eigh)
+    monkeypatch.setattr(operator.np.linalg, "svd", values_only)
+    # both architectures: mono takes the direct SVD, multi (24^2 rows >
+    # 4 * 48 columns) the factored Gram
+    assert main(["svd", "--config", str(write_config(tmp_path, NOMINAL))]) == 0
+
+
 def test_norm_check_catches_a_dropped_rx_weight(tmp_path, monkeypatch, capsys):
     import dataclasses
 
@@ -362,6 +395,30 @@ def test_norm_check_catches_a_dropped_rx_weight(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "build_operator", unweighted_rx)
     assert main(["svd", "--config", str(_multistatic_gram_config(tmp_path))]) == 1
     assert "norm deviates" in capsys.readouterr().err
+
+
+def test_resolution_does_not_import_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma, tens of ms of start-up per process
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "from aperture_dof.cli import main\n"
+        "assert main(sys.argv[1:]) == 0\n"
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "resolution",
+         "--config", str(root / "configs" / "resolution_g1.cfg"), "--out", str(tmp_path)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_unknown_command_rejected():

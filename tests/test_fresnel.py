@@ -19,7 +19,7 @@ from aperture_dof import (
     sbp_closed_form_g1,
     sbp_g3_fresnel,
 )
-from aperture_dof.fresnel import fresnel_kernel_midpoint
+from aperture_dof.fresnel import _coalesce, fresnel_kernel_midpoint
 
 from conftest import LAM, L1, L2, D
 
@@ -45,6 +45,59 @@ def test_from_positions_coalesces():
     np.testing.assert_allclose(fn.positions, [5e-13, 0.5 + 5e-13, 1.0])
     np.testing.assert_array_equal(fn.multiplicities, [2, 2, 1])
     assert fn.total == 5
+
+
+def _coalesce_loop(positions, mults, tol):
+    # the original one-delta-at-a-time grouping, kept as an oracle
+    order = np.argsort(positions, kind="stable")
+    pos, mul = positions[order], mults[order]
+    out_pos, out_mul = [], []
+    anchor = pos[0]
+    acc_w = 0.0
+    acc_m = 0
+    for p, m in zip(pos, mul):
+        if p - anchor > tol and acc_m > 0:
+            out_pos.append(acc_w / acc_m)
+            out_mul.append(acc_m)
+            anchor = p
+            acc_w, acc_m = 0.0, 0
+        acc_w += p * m
+        acc_m += int(m)
+    out_pos.append(acc_w / acc_m)
+    out_mul.append(acc_m)
+    return np.array(out_pos), np.array(out_mul, dtype=int)
+
+
+def test_coalesce_groups_around_the_first_point_not_the_neighbour():
+    tol = 1e-3
+    pos, mul = _coalesce(np.array([0.0, 0.6 * tol, 1.2 * tol]), np.ones(3, dtype=int), tol)
+    # 1.2 tol is within tol of 0.6 tol but not of the anchor 0: two groups
+    np.testing.assert_array_equal(mul, [2, 1])
+    np.testing.assert_allclose(pos, [0.3 * tol, 1.2 * tol], rtol=1e-15)
+    # the test is on the rounded difference p - anchor, which can disagree
+    # with p against the rounded anchor + tol in either direction
+    for pair, groups in (([-0.00031677626471093845, 0.0006832237352890617], 1),
+                         ([0.023643249400513433, 0.024643249400513434], 2)):
+        pair = np.array(pair)
+        assert (pair[1] > pair[0] + tol) == (groups == 1)
+        assert _coalesce(pair, np.ones(2, dtype=int), tol)[1].size == groups
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_coalesce_matches_the_sequential_grouping(seed):
+    rng = np.random.default_rng(seed)
+    tol = 1e-6
+    n = int(rng.integers(1, 400))
+    # clusters on a coarse grid, jittered up to 1.5 tol so some chains of
+    # neighbours within tol span more than tol from their first point
+    pos = rng.integers(-40, 40, n) * 5e-6 + rng.uniform(0.0, 1.5 * tol, n)
+    pos[rng.random(n) < 0.2] = pos[0]        # exact duplicates
+    mul = rng.integers(1, 5, n)
+    got_pos, got_mul = _coalesce(pos, mul, tol)
+    want_pos, want_mul = _coalesce_loop(pos, mul, tol)
+    np.testing.assert_array_equal(got_mul, want_mul)
+    np.testing.assert_allclose(got_pos, want_pos, rtol=0,
+                               atol=1e-15 * np.abs(want_pos).max())
 
 
 def test_effective_aperture_uniform_train_is_triangular():

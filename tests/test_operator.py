@@ -16,6 +16,7 @@ from aperture_dof import (
     build_operator,
     dof_knee,
     left_vectors,
+    reconstruct_pinv,
     sigma_bar,
     sigma_bar_sq,
     svd,
@@ -237,6 +238,32 @@ def test_sigma_bar_and_sq_on_synthetic_spectrum():
     sp = SvdSpectrum(sig, None, float(np.sum(sig**2)))
     assert sigma_bar(sp) == pytest.approx(1.0 + 0.5 + 0.25)
     assert sigma_bar_sq(sp) == pytest.approx(1.0 + 0.25 + 0.0625)
+
+
+@pytest.mark.parametrize("arch,n_elements,n_scene", [
+    (MONOSTATIC, 24, 48),
+    (MONOSTATIC, 200, 40),    # tall monostatic: still a direct SVD
+    (MULTISTATIC, 24, 48),    # 576 rows > 4 * 48: factored Gram route
+    (MULTISTATIC, 6, 48),     # 36 rows: direct SVD of the small matrix
+])
+def test_values_only_svd_matches_the_full_decomposition(arch, n_elements, n_scene):
+    op = small_operator(arch, n_elements=n_elements, n_scene=n_scene)
+    full, values = svd(op), svd(op, vectors=False)
+    assert values.hs_norm_sq == full.hs_norm_sq
+    assert values.right_vectors is None
+    s = full.singular_values
+    if arch == MONOSTATIC:
+        np.testing.assert_allclose(values.singular_values, s, rtol=0, atol=1e-12 * s[0])
+    else:
+        # eigvalsh and eigh round differently; compare above the Gram floor
+        keep = s >= 1e-6 * s[0]
+        np.testing.assert_allclose(
+            values.singular_values[keep], s[keep], rtol=1e-5, atol=1e-9 * s[0])
+    with pytest.raises(ValueError):
+        left_vectors(op, values, 3)
+    data = op.forward(random_gamma(np.random.default_rng(0), n_scene))
+    with pytest.raises(ValueError):
+        reconstruct_pinv(op, data, 3, spectrum=values)
 
 
 def test_left_vectors_orthonormal_and_consistent():

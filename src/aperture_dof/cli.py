@@ -197,6 +197,9 @@ _RANGE_CHECKS = (
     (lambda c: c.L2 <= 0.0, "[geometry] L2: empty scene, must be positive"),
     (lambda c: c.D <= 0.0, "[geometry] D: must be positive"),
     (lambda c: abs(c.theta) > 0.5 * math.pi, "[geometry] theta: |theta| must be <= 90 deg"),
+    (lambda c: c.L2 / 2.0 * abs(math.sin(c.theta)) >= c.D,
+     "[geometry] theta: the tilted scene reaches the aperture plane, "
+     "(L2/2)|sin theta| must be < D"),
     (lambda c: c.n_elements < 1, "[array] n_elements: must be >= 1"),
     (lambda c: c.n_scene < 2, "[discretization] n_scene: must be >= 2"),
     (lambda c: c.kspace_samples < 2, "[discretization] kspace_samples: must be >= 2"),

@@ -202,9 +202,18 @@ def bandwidth(scene_point, scene: SceneSegment, aperture: Aperture, wave: WaveCo
     mono arc is used.  scene_point is one point (x', z') or an (m, 2) array
     of points; the result is a float or an (m,) array.
     """
-    alpha, beta = viewing_angles(scene_point, aperture)
-    lo, hi = _project_arc(2.0 * wave.k, alpha, beta, scene_projection_angle(scene))
-    return float(hi - lo) if np.ndim(hi) == 0 else hi - lo
+    b = _bandwidth(scene_point, scene_projection_angle(scene), aperture, wave)
+    return float(b) if b.ndim == 0 else b
+
+
+def _bandwidth(scene_point, line_angle, aperture: Aperture, wave: WaveContext) -> np.ndarray:
+    """bandwidth of an (..., 2) point array, projected onto line_angle
+    broadcast against the points' leading shape; an array of that shape."""
+    p = np.asarray(scene_point, dtype=float)
+    shape = p.shape[:-1]
+    alpha, beta = viewing_angles(p.reshape(-1, 2), aperture)
+    lo, hi = _project_arc(2.0 * wave.k, alpha.reshape(shape), beta.reshape(shape), line_angle)
+    return hi - lo
 
 
 def effective_monostatic_point(

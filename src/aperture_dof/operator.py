@@ -112,7 +112,6 @@ class DiscreteOperator:
     col_weights: np.ndarray
     scene_u: np.ndarray
     scene_points: np.ndarray
-    pair_positions: np.ndarray
     array: ArrayLayout
     scene: SceneSegment
     wave: WaveContext
@@ -229,24 +228,15 @@ def build_operator(
 
     if array.architecture == MONOSTATIC:
         row_w = np.full(array.tx_positions.size, array.tx_weight)
-        pairs = np.stack([array.tx_positions, array.tx_positions], axis=-1)
     else:
         n_tx, n_rx = array.tx_positions.size, array.rx_positions.size
         row_w = np.full(n_tx * n_rx, array.tx_weight * array.rx_weight)
-        pairs = np.stack(
-            [
-                np.repeat(array.tx_positions, n_rx),
-                np.tile(array.rx_positions, n_tx),
-            ],
-            axis=-1,
-        )
     return DiscreteOperator(
         factors=_weighted_factors(array, points, wave.k),
         row_weights=row_w,
         col_weights=np.full(n_scene, du),
         scene_u=scene_u,
         scene_points=points,
-        pair_positions=pairs,
         array=array,
         scene=scene,
         wave=wave,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Aperture, SceneSegment, WaveContext, path_length
-from .kspace import bandwidth
+from .kspace import _bandwidth
 
 
 @dataclass(frozen=True)
@@ -101,12 +101,27 @@ def sbp_numeric(
     SbpResult
         method 'numeric-integral'.
     """
+    value = _sbp_of_tilts(np.array([scene.theta]), scene.shift, scene.half_length, aperture,
+                          wave, n_points)[0]
+    return SbpResult(value=float(value), method="numeric-integral")
+
+
+def _sbp_of_tilts(theta: np.ndarray, t: float, half_length: float, aperture: Aperture,
+                  wave: WaveContext, n_points: int) -> np.ndarray:
+    """sbp_numeric of SceneSegment(half_length, theta[i], t) for each tilt at
+    once, on a (tilts, n_points) point array; a (tilts,) array.
+
+    The points are built as SceneSegment.points builds them, with math.cos
+    and math.sin per tilt, so every value equals sbp_numeric's bit for bit.
+    """
     if n_points < 16:
         raise ValueError("need n_points >= 16")
-    u = np.linspace(-scene.half_length, scene.half_length, n_points)
-    b = bandwidth(scene.points(u), scene, aperture, wave)
-    value = float(np.trapezoid(b, u))
-    return SbpResult(value=value, method="numeric-integral")
+    u = np.linspace(-half_length, half_length, n_points)
+    cos = np.array([math.cos(th) for th in theta])[:, None]
+    sin = np.array([math.sin(th) for th in theta])[:, None]
+    points = np.stack([t + u * cos, -u * sin], axis=-1)
+    b = _bandwidth(points, -theta[:, None], aperture, wave)
+    return np.trapezoid(b, u, axis=-1)
 
 
 def compute_sbp(scene: SceneSegment, aperture: Aperture, wave: WaveContext,
@@ -147,6 +162,10 @@ def theta_heu(t: float, D: float) -> float:
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
+# Tilts per batched integral in theta_max's coarse grid: bounds its
+# (tilts, n_points) temporaries near a megabyte at the default 512 points.
+_TILT_CHUNK = 16
+
 
 def theta_max(
     t: float,
@@ -160,7 +179,9 @@ def theta_max(
 
     Coarse 181-point grid over [-pi/2, pi/2] followed by golden-section
     refinement of the best bracket down to `tol` radians.  Ties prefer the
-    smaller |theta|.
+    smaller |theta|.  Grid tilts that bring an end of the segment onto or
+    behind the aperture plane are skipped; the rest form one interval
+    around 0, and the bracket stays inside it.
     """
 
     def objective(theta: float) -> float:
@@ -168,7 +189,12 @@ def theta_max(
         return sbp_numeric(seg, aperture, wave, n_points).value
 
     grid = np.linspace(-0.5 * math.pi, 0.5 * math.pi, 181)
-    values = np.array([objective(th) for th in grid])
+    # one end of the segment lies half_length * |sin theta| nearer the aperture than z = 0
+    grid = grid[[scene.half_length * abs(math.sin(th)) < aperture.standoff for th in grid]]
+    values = np.concatenate([
+        _sbp_of_tilts(grid[i:i + _TILT_CHUNK], t, scene.half_length, aperture, wave, n_points)
+        for i in range(0, grid.size, _TILT_CHUNK)
+    ])
     best = int(np.argmax(values))
     # deterministic tie-break: smallest |theta| among near-equal maxima
     near = np.nonzero(values >= values[best] * (1.0 - 1e-12))[0]
@@ -189,4 +215,3 @@ def theta_max(
             x1 = hi - _GOLDEN * (hi - lo)
             f1 = objective(x1)
     return 0.5 * (lo + hi)
-

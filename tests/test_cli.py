@@ -129,6 +129,11 @@ def test_radian_angles_and_spacing(tmp_path):
         ("[sweep]\nparam = theta\nvalues = 95deg\n",
          re.escape("[sweep] values: theta = 1.65806279 rad breaks [geometry] theta: "
                    "|theta| must be <= 90 deg")),
+        ("[geometry]\nL2 = 45cm\nD = 20cm\ntheta = 75deg\n",
+         re.escape("[geometry] theta: the tilted scene reaches the aperture plane")),
+        ("[geometry]\nL2 = 45cm\nD = 20cm\n[sweep]\nparam = theta\nvalues = 0deg, 75deg\n",
+         re.escape("[sweep] values: theta = 1.30899694 rad breaks [geometry] theta: "
+                   "the tilted scene reaches the aperture plane")),
     ],
 )
 def test_config_rejection_names_the_offender(tmp_path, body, fragment):
@@ -238,6 +243,19 @@ def test_sbp_sweep_command(tmp_path):
     assert float(rows[1][0]) == pytest.approx(math.radians(35.0))
     # broadside SBP dominates the tilted ones for a centered scene
     assert float(rows[0][1]) > float(rows[1][1]) > float(rows[2][1])
+
+
+def test_sbp_sweep_theta_max_on_a_scene_longer_than_twice_the_standoff(tmp_path):
+    # tilts near +-90 deg would put the 45 cm scene behind the aperture plane
+    body = NOMINAL.replace("L2 = 10cm", "L2 = 45cm") + (
+        "\n[sweep]\nparam = t\nvalues = 0cm, 10cm\ninclude_theta = true\n"
+    )
+    cfg = write_config(tmp_path, body)
+    assert main(["sbp-sweep", "--config", str(cfg)]) == 0
+    header, rows = read_csv(tmp_path / "results" / "sbp_sweep.csv")
+    assert len(rows) == 2
+    for row in rows:
+        assert 0.225 * abs(math.sin(float(row[header.index("theta_max")]))) < 0.20
 
 
 def test_sbp_sweep_requires_sweep_section(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from aperture_dof import (
     SbpResult,
     SceneSegment,
     WaveContext,
+    bandwidth,
     compute_sbp,
     sbp_closed_form_g1,
     sbp_closed_form_g2,
@@ -16,6 +18,7 @@ from aperture_dof import (
     theta_heu,
     theta_max,
 )
+from aperture_dof import sbp
 
 LAM, L1, L2, D = 0.005, 0.15, 0.10, 0.20
 
@@ -160,3 +163,61 @@ def test_theta_max_tracks_the_heuristic():
     # the optimum dominates both the heuristic and broadside
     sbp_at = lambda th_: sbp_numeric(SceneSegment(L2 / 2, th_, 0.15), ap, wave, 128).value
     assert sbp_at(tm) >= sbp_at(th) >= sbp_at(0.0)
+
+
+@pytest.mark.parametrize("t,h", [(0.0, 0.05), (0.15, 0.05), (-0.1, 0.08), (0.2, 0.03)])
+def test_theta_max_coarse_grid_matches_per_tilt_integrals(monkeypatch, t, h):
+    # oracle: one public bandwidth call per tilt, integrated on its own
+    ap = Aperture.centered(L1, D)
+    wave = WaveContext(LAM)
+
+    def oracle(theta):
+        seg = SceneSegment(h, theta, t)
+        u = np.linspace(-h, h, 512)
+        return np.trapezoid(bandwidth(seg.points(u), seg, ap, wave), u)
+
+    calls = []
+    batched = sbp._sbp_of_tilts
+
+    def recording(theta, *args):
+        values = batched(theta, *args)
+        calls.append((theta, values))
+        return values
+
+    monkeypatch.setattr(sbp, "_sbp_of_tilts", recording)
+    theta_max(t, SceneSegment(h), ap, wave)
+    # the coarse grid's chunks, then one single-tilt call per golden-section step
+    chunks = [(th, v) for th, v in calls if th.size > 1]
+    assert [th.size for th, _ in chunks] == [16] * 11 + [5]
+    grid = np.concatenate([th for th, _ in chunks])
+    np.testing.assert_array_equal(grid, np.linspace(-0.5 * math.pi, 0.5 * math.pi, 181))
+    got = np.concatenate([v for _, v in chunks])
+    np.testing.assert_array_equal(got, [oracle(th) for th in grid])
+    # a batch of any size gives the same values as sbp_numeric tilt by tilt
+    some = grid[3:40]
+    np.testing.assert_array_equal(
+        batched(some, t, h, ap, wave, 512),
+        [sbp_numeric(SceneSegment(h, th, t), ap, wave).value for th in some])
+
+
+def test_theta_max_coarse_grid_memory_is_bounded():
+    # the 181-tilt coarse grid in one call peaks near 8.5 MiB of temporaries
+    ap = Aperture.centered(L1, D)
+    wave = WaveContext(LAM)
+    tracemalloc.start()
+    try:
+        theta_max(0.15, SceneSegment(0.05), ap, wave, n_points=512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+def test_theta_max_skips_tilts_that_cross_the_aperture_plane():
+    # a 45 cm scene at 20 cm standoff reaches the aperture plane for
+    # |theta| >= asin(0.2 / 0.225), about 62.7 deg
+    ap = Aperture.centered(L1, D)
+    wave = WaveContext(LAM)
+    for t in (0.0, 0.1, -0.2):
+        tm = theta_max(t, SceneSegment(0.225), ap, wave, n_points=64)
+        assert 0.225 * abs(math.sin(tm)) < D

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import SceneSegment, WaveContext
-from .operator import ArrayLayout, _factored_gram, _one_way_phases
+from .operator import ArrayLayout, _factored_gram, _tx_rx_factors
 
 
 @dataclass(frozen=True)
@@ -226,10 +226,8 @@ def _pair_report(array: ArrayLayout, scene: SceneSegment, wave: WaveContext, D: 
 
     # the pair rows are Khatri-Rao products of one-way factors, so their
     # Gram is the elementwise product of the one-way Grams
-    f_tx = _one_way_phases(array.tx_positions, points, -D, wave.k, kernel)
-    f_rx = _one_way_phases(array.rx_positions, points, -D, wave.k, kernel)
     evals = np.linalg.eigvalsh(_factored_gram(
-        f_tx * math.sqrt(array.tx_weight), f_rx * math.sqrt(array.rx_weight), col_w))
+        *_tx_rx_factors(array, points, -D, wave.k, kernel), col_w))
     sig_pair = np.sqrt(np.clip(evals[::-1], 0.0, None))
 
     n = max(sig_pair.size, sig_eff.size)

@@ -14,7 +14,11 @@ That product is a row-wise Khatri-Rao product of two N x n one-way phase
 factors, and the operator holds only the factors: singular values come
 from the eigen-decomposition of the n_scene x n_scene Gram matrix, an
 elementwise product of two one-way Grams, and images from cross-Grams of
-the factors at the image points and on the grid.
+the factors at the image points and on the grid, streamed over blocks of
+image points so that no array spans both all the points and the elements.
+When a layout's Tx and Rx positions and weights coincide (every uniform
+layout) the two factors are one shared table, and each Gram is one matrix
+product squared elementwise.
 """
 
 from __future__ import annotations
@@ -28,6 +32,11 @@ from .geometry import Aperture, SceneSegment, WaveContext
 
 MONOSTATIC = "monostatic"
 MULTISTATIC = "multistatic"
+
+# image points per cross-Gram block in adjoint_to_points: large enough for
+# efficient matrix products, small enough that a block's factors and
+# cross-Gram stay a few MiB at N = 1000, n_scene = 400
+_POINT_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -97,18 +106,20 @@ class DiscreteOperator:
     """Weighted forward operator, held as its one-way phase factors, plus
     the grids and weights that produced it.
 
-    matrix[m, c] = xi(pair_m, p_c) * sqrt(row_weights[m] * col_weights[c]),
-    with |xi| = 1.  Rows are measurement pairs (mono: (x_i, x_i); multi:
-    row-major over Tx x Rx), columns are scene samples at the midpoint grid
-    scene_u.  The matrix is the row-wise Khatri-Rao product of `factors`
-    times diag(sqrt(col_weights)): a monostatic operator has one factor,
-    the weighted round-trip phases (N, n); a multistatic one has the
-    weighted Tx and Rx phases (N_tx, n) and (N_rx, n), so the N^2 x n
-    product is never stored.
+    matrix[m, c] = xi(pair_m, p_c) * sqrt(row_weight * col_weights[c]),
+    with |xi| = 1; every row carries the same weight, tx_weight for a
+    monostatic array and tx_weight * rx_weight for a multistatic one.  Rows
+    are measurement pairs (mono: (x_i, x_i); multi: row-major over
+    Tx x Rx), columns are scene samples at the midpoint grid scene_u.  The
+    matrix is the row-wise Khatri-Rao product of `factors` times
+    diag(sqrt(col_weights)): a monostatic operator has one factor, the
+    weighted round-trip phases (N, n); a multistatic one has the weighted
+    Tx and Rx phases (N_tx, n) and (N_rx, n), one shared array when the
+    layout's Tx and Rx coincide, so the N^2 x n product is never stored.
     """
 
     factors: tuple
-    row_weights: np.ndarray
+    row_weight: float
     col_weights: np.ndarray
     scene_u: np.ndarray
     scene_points: np.ndarray
@@ -165,11 +176,11 @@ class DiscreteOperator:
     def forward(self, gamma: np.ndarray) -> np.ndarray:
         """Physical measurement vector s for scene reflectivity samples."""
         gamma = np.asarray(gamma)
-        return self._apply(np.sqrt(self.col_weights) * gamma) / np.sqrt(self.row_weights)
+        return self._apply(np.sqrt(self.col_weights) * gamma) / math.sqrt(self.row_weight)
 
     def weight_data(self, data: np.ndarray) -> np.ndarray:
         """Physical measurement values -> weighted coordinates."""
-        return np.sqrt(self.row_weights) * np.asarray(data)
+        return math.sqrt(self.row_weight) * np.asarray(data)
 
 
 def _one_way_phases(positions: np.ndarray, points: np.ndarray, z_plane: float, k: float,
@@ -189,16 +200,30 @@ def _one_way_phases(positions: np.ndarray, points: np.ndarray, z_plane: float, k
     raise ValueError(f"unknown kernel {kernel!r}")
 
 
+def _tx_rx_factors(array: ArrayLayout, points: np.ndarray, z_plane: float, k: float,
+                   kernel: str = "exact") -> tuple:
+    """The Tx and Rx phases at scene points (m, 2) times the square roots of
+    their weights; one array, returned twice, when the layout's Tx and Rx
+    positions and weights coincide."""
+    f_tx = _one_way_phases(array.tx_positions, points, z_plane, k, kernel) \
+        * math.sqrt(array.tx_weight)
+    if array.tx_weight == array.rx_weight \
+            and np.array_equal(array.tx_positions, array.rx_positions):
+        return f_tx, f_tx
+    f_rx = _one_way_phases(array.rx_positions, points, z_plane, k, kernel) \
+        * math.sqrt(array.rx_weight)
+    return f_tx, f_rx
+
+
 def _weighted_factors(array: ArrayLayout, points: np.ndarray, k: float) -> tuple:
     """The operator's factors at arbitrary scene points (m, 2): the
     round-trip phases times sqrt(tx_weight) for a monostatic array, the
-    Tx and Rx phases times the square roots of their weights otherwise."""
+    weighted Tx and Rx phases (_tx_rx_factors) otherwise."""
     z_plane = array.aperture.z_plane
-    e_tx = _one_way_phases(array.tx_positions, points, z_plane, k)
     if array.architecture == MONOSTATIC:
+        e_tx = _one_way_phases(array.tx_positions, points, z_plane, k)
         return (e_tx * e_tx * math.sqrt(array.tx_weight),)
-    e_rx = _one_way_phases(array.rx_positions, points, z_plane, k)
-    return e_tx * math.sqrt(array.tx_weight), e_rx * math.sqrt(array.rx_weight)
+    return _tx_rx_factors(array, points, z_plane, k)
 
 
 def build_operator(
@@ -226,14 +251,10 @@ def build_operator(
     if points[:, 1].min() <= array.aperture.z_plane:
         raise ValueError("scene touches or crosses the aperture plane")
 
-    if array.architecture == MONOSTATIC:
-        row_w = np.full(array.tx_positions.size, array.tx_weight)
-    else:
-        n_tx, n_rx = array.tx_positions.size, array.rx_positions.size
-        row_w = np.full(n_tx * n_rx, array.tx_weight * array.rx_weight)
+    mono = array.architecture == MONOSTATIC
     return DiscreteOperator(
         factors=_weighted_factors(array, points, wave.k),
-        row_weights=row_w,
+        row_weight=array.tx_weight if mono else array.tx_weight * array.rx_weight,
         col_weights=np.full(n_scene, du),
         scene_u=scene_u,
         scene_points=points,
@@ -247,10 +268,12 @@ def _factored_gram(
     tx_factor: np.ndarray, rx_factor: np.ndarray, col_weights: np.ndarray
 ) -> np.ndarray:
     """Hermitian Gram of the Tx x Rx product rows: the elementwise product
-    of the one-way Grams, so the N^2 rows never enter a matrix product."""
+    of the one-way Grams, so the N^2 rows never enter a matrix product; a
+    shared Tx/Rx table has one one-way Gram, squared."""
     root_w = np.sqrt(col_weights)
-    gram = (tx_factor.conj().T @ tx_factor) * (rx_factor.conj().T @ rx_factor) \
-        * root_w[:, None] * root_w[None, :]
+    tx_gram = tx_factor.conj().T @ tx_factor
+    rx_gram = tx_gram if rx_factor is tx_factor else rx_factor.conj().T @ rx_factor
+    gram = tx_gram * rx_gram * root_w[:, None] * root_w[None, :]
     return 0.5 * (gram + gram.conj().T)
 
 
@@ -364,11 +387,15 @@ def adjoint_to_points(
     scene-side coefficient columns.
 
     For each column c of `coeffs` (weighted scene coordinates) computes
-    g(q) = sum_m conj(xi(pair_m, q)) * sqrt(row_weight_m) * (A c)[m], the
+    g(q) = sum_m conj(xi(pair_m, q)) * sqrt(row_weight) * (A c)[m], the
     continuous adjoint image of the data A c sampled at `points`.  The data
     are never formed: g = ((T_q^H T) o (R_q^H R)) diag(sqrt(w)) c, the
     cross-Gram of the factors at the points (T_q, R_q) and on the grid
-    (T, R); a monostatic operator has one factor.
+    (T, R); a monostatic operator has one factor, and a shared Tx/Rx table
+    one matrix product, squared.  The points go through in blocks of
+    _POINT_BLOCK, each with its own factors and cross-Gram, so memory grows
+    with the block and the (m, b) result, not with m times the element or
+    scene count.
 
     Parameters
     ----------
@@ -380,7 +407,16 @@ def adjoint_to_points(
     (m,) or (m, b) complex array
     """
     points = np.asarray(points, dtype=float)
-    cross = np.sqrt(op.col_weights)
-    for at_points, f in zip(_weighted_factors(op.array, points, op.wave.k), op.factors):
-        cross = cross * (at_points.conj().T @ f)
-    return cross @ coeffs
+    root_w = np.sqrt(op.col_weights)
+    out = np.empty((points.shape[0],) + np.shape(coeffs)[1:], dtype=complex)
+    for start in range(0, points.shape[0], _POINT_BLOCK):
+        stop = start + _POINT_BLOCK
+        at_points = _weighted_factors(op.array, points[start:stop], op.wave.k)
+        gram = at_points[0].conj().T @ op.factors[0]
+        cross = root_w * gram
+        if len(op.factors) == 2:
+            if at_points[1] is not at_points[0] or op.factors[1] is not op.factors[0]:
+                gram = at_points[1].conj().T @ op.factors[1]
+            cross *= gram
+        out[start:stop] = cross @ coeffs
+    return out

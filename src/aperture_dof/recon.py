@@ -5,9 +5,10 @@ noiseless data projects the true reflectivity onto the kept right singular
 vectors, and the matched filter / back-propagation adjoint (MF), which
 weights the same projections by sigma^2.  Both start from one
 back-projection: of arbitrary data through DiscreteOperator.adjoint, on
-the operator's grid, and of point scatterers through one cross-Gram
-routine, _images, on the grid (oversample = 1) or a finer one; PINV then
-applies the same V_r Sigma_r^-2 V_r^H filter.  Resolution is measured as
+the operator's grid, and of point scatterers through one routine, _images,
+on the grid (oversample = 1) or a finer one, which streams the factors'
+cross-Gram over blocks of image points; PINV then applies the same
+V_r Sigma_r^-2 V_r^H filter.  Resolution is measured as
 the 3dB mainlobe width of point-scatterer PSFs and benchmarked against the
 reciprocal bandwidth 1/B.
 """
@@ -200,8 +201,9 @@ def _images(op: DiscreteOperator, spectrum: SvdSpectrum | None, coeffs: np.ndarr
     The grid has oversample midpoint samples per operator cell, so
     oversample = 1 is the operator's own grid scene_u, bit for bit.  MF
     images are adjoints of the data A c; PINV images are adjoints of
-    A V_r Sigma_r^-2 V_r^H c.  Every column goes through one cross-Gram
-    (adjoint_to_points), and the N^2-row data are never formed.
+    A V_r Sigma_r^-2 V_r^H c.  Every column goes through one
+    adjoint_to_points call, which streams the cross-Gram over blocks of
+    grid points, and the N^2-row data are never formed.
     """
     u_fine = op.scene.midpoints(op.scene_u.size * oversample)
     columns = {}
@@ -295,7 +297,7 @@ def resolution_sweep(
     idx = idx[np.concatenate(([True], np.diff(idx) > 0))]
     positions = op.scene_u[idx]
 
-    # every target and method in one cross-Gram
+    # every target and method in one adjoint_to_points call
     u_fine, profiles = _images(op, sp, _unit_scatterers(op, idx), methods, rank, oversample)
 
     widths = {}

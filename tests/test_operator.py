@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from aperture_dof import (
     sigma_bar_sq,
     svd,
 )
-from aperture_dof.operator import adjoint_to_points
+from aperture_dof.operator import _POINT_BLOCK, _one_way_phases, adjoint_to_points
 
 from conftest import LAM, L1, L2, D, small_operator, random_gamma
 
@@ -53,7 +54,7 @@ def test_layout_validation():
 
 def test_operator_entries_have_quadrature_magnitude():
     op = small_operator(MONOSTATIC, n_elements=8, n_scene=12)
-    expected = math.sqrt(op.row_weights[0] * op.col_weights[0])
+    expected = math.sqrt(op.row_weight * op.col_weights[0])
     np.testing.assert_allclose(np.abs(op.matrix), expected, rtol=1e-12)
 
 
@@ -63,7 +64,7 @@ def test_operator_entry_phase_matches_round_trip_path():
     p = op.scene_points[5]
     r = math.hypot(x - p[0], p[1] + D)
     expected = np.exp(-2j * op.wave.k * r) * math.sqrt(
-        op.row_weights[3] * op.col_weights[5]
+        op.row_weight * op.col_weights[5]
     )
     assert op.matrix[3, 5] == pytest.approx(expected, rel=1e-12)
 
@@ -78,7 +79,7 @@ def test_multistatic_rows_are_row_major_pairs():
     r_tx = math.hypot(tx[1] - p[0], p[1] + D)
     r_rx = math.hypot(rx[2] - p[0], p[1] + D)
     expected = np.exp(-1j * k * (r_tx + r_rx)) * math.sqrt(
-        op.row_weights[row] * op.col_weights[4]
+        op.row_weight * op.col_weights[4]
     )
     assert op.matrix[row, 4] == pytest.approx(expected, rel=1e-12)
 
@@ -88,7 +89,7 @@ def test_forward_matches_matrix_action():
     op = small_operator(MONOSTATIC, n_elements=10, n_scene=14)
     gamma = random_gamma(rng, 14)
     s = op.forward(gamma)
-    manual = (op.matrix @ (np.sqrt(op.col_weights) * gamma)) / np.sqrt(op.row_weights)
+    manual = (op.matrix @ (np.sqrt(op.col_weights) * gamma)) / np.sqrt(op.row_weight)
     np.testing.assert_allclose(s, manual, rtol=1e-12)
     np.testing.assert_allclose(op.weight_data(s), op.matrix @ (np.sqrt(op.col_weights) * gamma), rtol=1e-12)
 
@@ -290,7 +291,7 @@ def test_adjoint_to_points_factored_route_matches_dense():
     for m, (xt, xr) in enumerate(zip(np.repeat(tx, rx.size), np.tile(rx, tx.size))):
         for q, (xp, zp) in enumerate(pts):
             r = math.hypot(xt - xp, zp + D) + math.hypot(xr - xp, zp + D)
-            kern[m, q] = np.exp(-1j * k * r) * math.sqrt(op.row_weights[m])
+            kern[m, q] = np.exp(-1j * k * r) * math.sqrt(op.row_weight)
     expected = kern.conj().T @ (op.matrix @ coeffs)
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10 * np.abs(expected).max())
 
@@ -316,7 +317,7 @@ def test_adjoint_to_points_factored_route_non_square():
     for m, (xt, xr) in enumerate(zip(np.repeat(tx, rx.size), np.tile(rx, tx.size))):
         for q, (xp, zp) in enumerate(pts):
             r = math.hypot(xt - xp, zp - z) + math.hypot(xr - xp, zp - z)
-            kern[m, q] = np.exp(-1j * k * r) * math.sqrt(op.row_weights[m])
+            kern[m, q] = np.exp(-1j * k * r) * math.sqrt(op.row_weight)
     expected = kern.conj().T @ (op.matrix @ coeffs)
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10 * np.abs(expected).max())
 
@@ -325,6 +326,92 @@ def test_adjoint_to_points_factored_route_non_square():
     expected = op.matrix.conj().T @ v
     np.testing.assert_allclose(
         op.adjoint(v), expected, rtol=0, atol=1e-10 * np.abs(expected).max())
+
+
+def _distinct_tx_rx_operator():
+    # the 5 Tx / 3 Rx layout of test_adjoint_to_points_factored_route_non_square
+    layout = ArrayLayout(MULTISTATIC, np.array([-0.07, -0.04, 0.0, 0.03, 0.065]),
+                         np.array([-0.05, 0.01, 0.06]), Aperture.centered(L1, D), 0.03, 0.05)
+    return build_operator(SceneSegment(L2 / 2.0), layout, WaveContext(LAM), 16)
+
+
+_BLOCK_LAYOUTS = {
+    "mono": lambda: small_operator(MONOSTATIC, n_elements=12, n_scene=18),
+    "multi": lambda: small_operator(MULTISTATIC, n_elements=7, n_scene=16),
+    "distinct_tx_rx": _distinct_tx_rx_operator,
+}
+
+
+@pytest.mark.parametrize("layout", sorted(_BLOCK_LAYOUTS))
+@pytest.mark.parametrize("m", [37, _POINT_BLOCK, 2 * _POINT_BLOCK + 1])
+def test_adjoint_to_points_blocks_match_the_pair_kernel(layout, m):
+    rng = np.random.default_rng(m)
+    op = _BLOCK_LAYOUTS[layout]()
+    pts = op.scene.points(np.linspace(-0.045, 0.045, m))
+    n = op.col_weights.size
+    coeffs = np.stack([random_gamma(rng, n) for _ in range(3)], axis=1)
+    got = adjoint_to_points(op, coeffs, pts)
+    assert got.shape == (m, 3)
+    column = adjoint_to_points(op, coeffs[:, 1], pts)
+    assert column.shape == (m,)
+    np.testing.assert_allclose(column, got[:, 1], rtol=0, atol=1e-12 * np.abs(got).max())
+
+    # dense oracle straight from the pair kernel, applied to the data A c
+    tx, rx = op.array.tx_positions, op.array.rx_positions
+    if op.array.architecture == MONOSTATIC:
+        x_tx, x_rx = tx, tx
+    else:
+        x_tx, x_rx = np.repeat(tx, rx.size), np.tile(rx, tx.size)
+    depth = pts[None, :, 1] - op.array.aperture.z_plane
+    r = np.hypot(x_tx[:, None] - pts[None, :, 0], depth) \
+        + np.hypot(x_rx[:, None] - pts[None, :, 0], depth)
+    kern = np.exp(-1j * op.wave.k * r) * math.sqrt(op.row_weight)
+    expected = kern.conj().T @ (op.matrix @ coeffs)
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10 * np.abs(expected).max())
+
+
+@pytest.mark.parametrize("layout,tables", [("mono", 1), ("multi", 1), ("distinct_tx_rx", 2)])
+def test_adjoint_to_points_evaluates_one_way_tables_per_block(layout, tables, monkeypatch):
+    # a uniform layout's Tx and Rx coincide: one phase table per block, held
+    # once by the operator; distinct Tx and Rx need one table each
+    op = _BLOCK_LAYOUTS[layout]()
+    shared = len(op.factors) == 2 and op.factors[1] is op.factors[0]
+    assert shared == (layout == "multi")
+    calls = []
+
+    def counting(positions, points, *args, **kwargs):
+        calls.append(points.shape[0])
+        return _one_way_phases(positions, points, *args, **kwargs)
+
+    monkeypatch.setattr("aperture_dof.operator._one_way_phases", counting)
+    pts = op.scene.points(np.linspace(-0.045, 0.045, 2 * _POINT_BLOCK + 1))
+    coeffs = np.ones((op.col_weights.size, 2))
+    got = adjoint_to_points(op, coeffs, pts)
+    blocks = [_POINT_BLOCK, _POINT_BLOCK, 1]
+    assert calls == [b for b in blocks for _ in range(tables)]
+
+    if shared:
+        # the squared shared product is the product of two equal tables
+        t = op.factors[0]
+        copied = dataclasses.replace(op, factors=(t, t.copy()))
+        np.testing.assert_array_equal(adjoint_to_points(copied, coeffs, pts), got)
+        np.testing.assert_array_equal(svd(copied).singular_values, svd(op).singular_values)
+
+
+def test_adjoint_to_points_memory_does_not_scale_with_points_times_elements():
+    # one (m, N) table per factor at m = 6400, N = 200 is 20 MiB, and an
+    # (m, n) cross-Gram at n = 400 another 39 MiB
+    op = small_operator(MULTISTATIC, n_elements=200, n_scene=400)
+    rng = np.random.default_rng(6)
+    coeffs = rng.standard_normal((400, 42)) + 1j * rng.standard_normal((400, 42))
+    pts = op.scene.points(op.scene.midpoints(6400))
+    tracemalloc.start()
+    try:
+        adjoint_to_points(op, coeffs, pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
 
 
 def test_adjoint_to_points_on_grid_matches_matrix_adjoint():

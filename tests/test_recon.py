@@ -273,7 +273,7 @@ def test_multistatic_analysis_memory_does_not_scale_as_n_squared_times_n():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 128 * 2**20
+    assert peak < 32 * 2**20
 
 
 def test_resolution_sweep_rejects_mismatched_aperture():

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import SceneSegment, WaveContext
-from .operator import ArrayLayout, _factored_gram, _tx_rx_factors
+from .operator import ArrayLayout, _one_way_phases, _spectrum, _tx_rx_factors
 
 
 @dataclass(frozen=True)
@@ -167,16 +167,16 @@ def fresnel_equivalence_check(
     """Compare singular values of a multistatic array against its effective
     monostatic replacement in the Fresnel regime.
 
-    The pair side is the Born operator in the package frame (aperture on
-    z = -D, scene on z = 0): its one-way factors come from the operator's
-    phase kernel with `kernel` ('exact' or its 'fresnel' specialization),
-    and its singular values from the eigenvalues of their factored Gram.
-    The effective side always uses the monostatic Fresnel kernel on the
-    effective_aperture positions.  Per-pair Fresnel phase masks are unit
-    modulus row scalings, and rows sharing a midpoint differ only by such
-    masks, so duplicates collapse into one row scaled by sqrt(multiplicity)
-    without changing any singular value; that collapsed form is what is
-    decomposed here.
+    Both sides are Born operators in the package frame (aperture on z = -D,
+    scene on z = 0), built from the operator's phase kernel, and both go
+    through svd's spectrum routine.  The pair side's one-way factors use
+    `kernel` ('exact' or its 'fresnel' specialization).  The effective side
+    always uses the monostatic Fresnel kernel on the effective_aperture
+    positions: one Fresnel leg at twice the wavenumber.  Per-pair Fresnel
+    phase masks are unit modulus row scalings, and rows sharing a midpoint
+    differ only by such masks, so duplicates collapse into one row scaled by
+    sqrt(multiplicity) without changing any singular value; that collapsed
+    form is what is decomposed here.
 
     Parameters
     ----------
@@ -186,34 +186,31 @@ def fresnel_equivalence_check(
         Must be parallel (theta = 0).
     D : float, optional
         Standoff override; defaults to the array's aperture standoff.
+    n_scene : int
+        Number of scene samples, >= 2, as in build_operator.
     """
     if scene.theta != 0.0:
         raise ValueError("Fresnel equivalence check requires a parallel scene")
+    if n_scene < 2:
+        raise ValueError("need n_scene >= 2")
     if D is None:
         D = array.aperture.standoff
     if D <= 0.0:
         raise ValueError("standoff must be positive")
 
-    effective, sig_eff = _effective_side(array, scene, wave, D, n_scene)
-    return _pair_report(array, scene, wave, D, kernel, n_scene, effective, sig_eff)
-
-
-def _effective_side(array: ArrayLayout, scene: SceneSegment, wave: WaveContext,
-                    D: float, n_scene: int):
-    """The effective monostatic aperture of the Tx/Rx pair and the singular
-    values of its Fresnel operator; independent of the pair side's kernel."""
     tol = wave.wavelength / 1000.0
     eff = effective_aperture(
         ApertureFunction.from_positions(array.tx_positions, tol),
         ApertureFunction.from_positions(array.rx_positions, tol),
         merge_tol=tol,
     )
-    x_eff = eff.positions[:, None]
-    x_scene = scene.points(scene.midpoints(n_scene))[None, :, 0]
-    kern = fresnel_kernel_midpoint(x_eff, x_eff, x_scene, D, wave)
-    row_scale = np.sqrt(eff.multiplicities * array.tx_weight * array.rx_weight)
-    m_eff = kern * row_scale[:, None] * np.sqrt(scene.length / n_scene)
-    return eff, np.linalg.svd(m_eff, compute_uv=False)
+    points = scene.points(scene.midpoints(n_scene))
+    factor = _one_way_phases(eff.positions, points, -D, 2.0 * wave.k, "fresnel")
+    factor *= np.sqrt(eff.multiplicities * array.tx_weight * array.rx_weight)[:, None]
+    sig_eff = _spectrum((factor,), np.full(n_scene, scene.length / n_scene),
+                        vectors=False).singular_values
+    del factor  # freed before the pair side is built
+    return _pair_report(array, scene, wave, D, kernel, n_scene, eff, sig_eff)
 
 
 def _pair_report(array: ArrayLayout, scene: SceneSegment, wave: WaveContext, D: float,
@@ -222,20 +219,11 @@ def _pair_report(array: ArrayLayout, scene: SceneSegment, wave: WaveContext, D: 
     """Singular values of the pair side with `kernel`, compared against an
     already built effective side (see fresnel_equivalence_check)."""
     points = scene.points(scene.midpoints(n_scene))
-    col_w = np.full(n_scene, scene.length / n_scene)
-
-    # the pair rows are Khatri-Rao products of one-way factors, so their
-    # Gram is the elementwise product of the one-way Grams
-    evals = np.linalg.eigvalsh(_factored_gram(
-        *_tx_rx_factors(array, points, -D, wave.k, kernel), col_w))
-    sig_pair = np.sqrt(np.clip(evals[::-1], 0.0, None))
-
+    sig_pair = _spectrum(_tx_rx_factors(array, points, -D, wave.k, kernel),
+                         np.full(n_scene, scene.length / n_scene), vectors=False).singular_values
     n = max(sig_pair.size, sig_eff.size)
-    a = np.zeros(n)
-    b = np.zeros(n)
-    a[: sig_pair.size] = sig_pair
-    b[: sig_eff.size] = sig_eff
-    disc = float(np.max(np.abs(a - b)) / a[0])
+    gap = np.pad(sig_pair, (0, n - sig_pair.size)) - np.pad(sig_eff, (0, n - sig_eff.size))
+    disc = float(np.max(np.abs(gap)) / sig_pair[0])
     return FresnelEquivalenceReport(
         kernel=kernel,
         standoff=D,

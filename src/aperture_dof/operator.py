@@ -136,12 +136,7 @@ class DiscreteOperator:
         """The dense weighted matrix, materialized anew on every access (a
         multistatic N = 200, n = 400 operator is 244 MB); no analysis reads
         it, it is there to check small operators against."""
-        if len(self.factors) == 1:
-            kr = self.factors[0]
-        else:
-            t, r = self.factors
-            kr = (t[:, None, :] * r[None, :, :]).reshape(-1, self.col_weights.size)
-        return kr * np.sqrt(self.col_weights)
+        return _khatri_rao(self.factors, self.col_weights)
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
         """Weighted matrix times scene-side x, (n,) or (n, b), from the
@@ -264,6 +259,16 @@ def build_operator(
     )
 
 
+def _khatri_rao(factors: tuple, col_weights: np.ndarray) -> np.ndarray:
+    """Row-wise Khatri-Rao product of the factors times diag(sqrt(col_weights))."""
+    if len(factors) == 1:
+        kr = factors[0]
+    else:
+        t, r = factors
+        kr = (t[:, None, :] * r[None, :, :]).reshape(-1, col_weights.size)
+    return kr * np.sqrt(col_weights)
+
+
 def _factored_gram(
     tx_factor: np.ndarray, rx_factor: np.ndarray, col_weights: np.ndarray
 ) -> np.ndarray:
@@ -317,17 +322,22 @@ def svd(op: DiscreteOperator, vectors: bool = True) -> SvdSpectrum:
     materializes its small matrix for a direct SVD.  With vectors=False only
     the singular values are computed and right_vectors is None.
     """
-    n_rows, n_cols = op.shape
+    return _spectrum(op.factors, op.col_weights, vectors)
+
+
+def _spectrum(factors: tuple, col_weights: np.ndarray, vectors: bool) -> SvdSpectrum:
+    """svd on an operator's factors and column weights alone."""
+    shape = (math.prod(f.shape[0] for f in factors), col_weights.size)
     try:
-        if len(op.factors) == 2 and n_rows > 4 * n_cols:
-            gram = _factored_gram(*op.factors, op.col_weights)
+        if len(factors) == 2 and shape[0] > 4 * shape[1]:
+            gram = _factored_gram(*factors, col_weights)
             hs = float(np.trace(gram).real)
             evals, evecs = np.linalg.eigh(gram) if vectors else (np.linalg.eigvalsh(gram), None)
             order = np.argsort(evals)[::-1]
             sigma = np.sqrt(np.clip(evals[order], 0.0, None))
             v = None if evecs is None else evecs[:, order]
         else:
-            m = op.matrix
+            m = _khatri_rao(factors, col_weights)
             hs = float(np.vdot(m, m).real)
             if vectors:
                 _, sigma, vh = np.linalg.svd(m, full_matrices=False)
@@ -335,7 +345,7 @@ def svd(op: DiscreteOperator, vectors: bool = True) -> SvdSpectrum:
             else:
                 sigma, v = np.linalg.svd(m, compute_uv=False), None
     except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"SVD of {op.shape} operator failed: {exc}") from exc
+        raise RuntimeError(f"SVD of {shape} operator failed: {exc}") from exc
     return SvdSpectrum(singular_values=sigma, right_vectors=v, hs_norm_sq=hs)
 
 

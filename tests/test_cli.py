@@ -367,15 +367,22 @@ def _multistatic_gram_config(tmp_path):
 
 
 def test_multistatic_commands_never_materialize_the_operator(tmp_path, monkeypatch):
-    from aperture_dof.operator import DiscreteOperator
+    # op.matrix and svd's direct route both go through _khatri_rao; the
+    # Fresnel effective side legitimately densifies its one factor
+    import aperture_dof.operator as operator
 
-    def dense(_):
-        raise AssertionError("the dense N^2 x n operator was materialized")
+    true_khatri_rao = operator._khatri_rao
 
-    monkeypatch.setattr(DiscreteOperator, "matrix", property(dense))
+    def dense(factors, col_weights):
+        if len(factors) == 2:
+            raise AssertionError("the dense N^2 x n operator was materialized")
+        return true_khatri_rao(factors, col_weights)
+
+    monkeypatch.setattr(operator, "_khatri_rao", dense)
     cfg = _multistatic_gram_config(tmp_path)
     assert main(["svd", "--config", str(cfg)]) == 0
     assert main(["resolution", "--config", str(cfg)]) == 0
+    assert main(["fresnel", "--config", str(cfg)]) == 0
 
 
 def test_svd_command_computes_no_singular_vectors(tmp_path, monkeypatch):

@@ -12,14 +12,17 @@ from aperture_dof import (
     ArrayLayout,
     SceneSegment,
     WaveContext,
+    build_operator,
     effective_aperture,
     fresnel_dof,
     fresnel_equivalence_check,
     fresnel_kernel,
     sbp_closed_form_g1,
     sbp_g3_fresnel,
+    svd,
 )
 from aperture_dof.fresnel import _coalesce, fresnel_kernel_midpoint
+from aperture_dof.operator import _one_way_phases
 
 from conftest import LAM, L1, L2, D
 
@@ -200,7 +203,7 @@ def _layout(n=24):
 
 
 def test_pair_singular_values_match_dense_assembly():
-    # factored Gram oracle check: assemble the full pair matrix and SVD it
+    # dense oracle: assemble the full pair matrix and SVD it
     wave = WaveContext(LAM)
     layout = _layout(6)
     n_scene = 15
@@ -223,11 +226,44 @@ def test_pair_singular_values_match_dense_assembly():
                 rows.append(row * math.sqrt(layout.tx_weight * layout.rx_weight))
         dense = np.array(rows) * np.sqrt(col_w)
         sig_dense = np.linalg.svd(dense, compute_uv=False)
-        # the Gram route floors at sqrt(eps)*sigma_1, so the zero tail only
-        # matches to ~1e-8 relative
+        # 36 rows <= 4 * 15 columns take the direct SVD here; the bound also
+        # admits the Gram route, whose zero tail floors at sqrt(eps)*sigma_1
         np.testing.assert_allclose(
             sig[: sig_dense.size], sig_dense, rtol=0, atol=1e-7 * sig_dense[0]
         )
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.03])
+def test_effective_side_kernel_is_one_fresnel_leg_at_twice_k(shift):
+    # the monostatic midpoint kernel (x_tx = x_rx = x) is a single Fresnel
+    # leg at 2k: doubling k and D is exact, so the two agree bit for bit,
+    # unlike the squared one-way leg
+    wave = WaveContext(LAM)
+    layout = _layout()
+    scene = SceneSegment(L2 / 2, shift=shift)
+    report = fresnel_equivalence_check(layout, scene, wave, n_scene=50)
+    x = report.effective.positions
+    points = scene.points(scene.midpoints(50))
+    leg = _one_way_phases(x, points, -D, 2.0 * wave.k, "fresnel")
+    mid = fresnel_kernel_midpoint(x[:, None], x[:, None], points[None, :, 0], D, wave)
+    np.testing.assert_array_equal(leg, mid)
+    # and the check decomposes exactly that kernel, row-scaled
+    scale = np.sqrt(report.effective.multiplicities * layout.tx_weight * layout.rx_weight)
+    dense = mid * scale[:, None] * np.sqrt(scene.length / 50)
+    np.testing.assert_array_equal(report.sigma_effective,
+                                  np.linalg.svd(dense, compute_uv=False))
+
+
+@pytest.mark.parametrize("n_elements, n_scene", [(24, 80), (6, 15)])
+def test_pair_side_is_the_operator_spectrum(n_elements, n_scene):
+    # 576 rows > 4 * 80 columns takes svd's Gram route, 36 <= 4 * 15 the
+    # direct SVD; the pair side goes through the same routine either way
+    wave = WaveContext(LAM)
+    scene = SceneSegment(L2 / 2)
+    layout = _layout(n_elements)
+    report = fresnel_equivalence_check(layout, scene, wave, kernel="exact", n_scene=n_scene)
+    spectrum = svd(build_operator(scene, layout, wave, n_scene), vectors=False)
+    np.testing.assert_array_equal(report.sigma_pair, spectrum.singular_values)
 
 
 def test_equivalence_exact_under_fresnel_propagation():
@@ -259,3 +295,8 @@ def test_equivalence_requires_parallel_scene():
         fresnel_equivalence_check(
             _layout(), SceneSegment(L2 / 2), WaveContext(LAM), kernel="paraxial"
         )
+    for n_scene in (0, 1):
+        with pytest.raises(ValueError, match="need n_scene >= 2"):
+            fresnel_equivalence_check(
+                _layout(), SceneSegment(L2 / 2), WaveContext(LAM), n_scene=n_scene
+            )

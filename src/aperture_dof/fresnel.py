@@ -135,12 +135,64 @@ def effective_aperture(
 
     merge_tol is the coalescing tolerance in meters; wavelength/1000 is a
     good choice when a wavelength is in scope.
+
+    When both trains lie on one lattice (_lattice_indices; every uniform
+    layout, gaps allowed), the midpoints group by lattice index sum, so the
+    multiplicities are the convolution of the per-index counts and each
+    position is the multiplicity-weighted mean that _coalesce would take,
+    from the convolution of the first moments: memory grows as the number
+    of lattice sites, not as N_tx * N_rx.  Other trains coalesce all
+    N_tx * N_rx pair midpoints.
     """
-    half_tx = 0.5 * a_tx.positions
-    half_rx = 0.5 * a_rx.positions
-    pos = (half_tx[:, None] + half_rx[None, :]).ravel()
-    mul = (a_tx.multiplicities[:, None] * a_rx.multiplicities[None, :]).ravel()
-    return ApertureFunction(*_coalesce(pos, mul, merge_tol))
+    indices = _lattice_indices(a_tx.positions, a_rx.positions, merge_tol)
+    if indices is None:
+        half_tx = 0.5 * a_tx.positions
+        half_rx = 0.5 * a_rx.positions
+        pos = (half_tx[:, None] + half_rx[None, :]).ravel()
+        mul = (a_tx.multiplicities[:, None] * a_rx.multiplicities[None, :]).ravel()
+        return ApertureFunction(*_coalesce(pos, mul, merge_tol))
+    counts, moments = [], []
+    for fn, idx in zip((a_tx, a_rx), indices):
+        count = np.zeros(idx[-1] + 1, dtype=int)
+        count[idx] = fn.multiplicities
+        moment = np.zeros(idx[-1] + 1)
+        moment[idx] = fn.multiplicities * (0.5 * fn.positions)
+        counts.append(count)
+        moments.append(moment)
+    mult = np.convolve(*counts)
+    moment = np.convolve(moments[0], counts[1]) + np.convolve(counts[0], moments[1])
+    sums = np.flatnonzero(mult)
+    return ApertureFunction(moment[sums] / mult[sums], mult[sums])
+
+
+def _lattice_indices(tx: np.ndarray, rx: np.ndarray, tol: float) -> list | None:
+    """Indices k of two sorted position trains on one lattice x0 + pitch * k,
+    or None if they are not on one or it has more sites than the trains
+    have pairs (then all pair midpoints are the smaller arrays).
+
+    x0 is the lowest position and pitch the smallest step within a train.
+    The trains are on the lattice when every position lies within tol / 4 of
+    it and pitch > 4 tol: each pair midpoint then lies within tol / 4 of
+    x0 + pitch * (i + j) / 2, so the midpoints of one index sum span at most
+    tol / 2 and lie more than 1.5 tol from those of the next sum, and
+    _coalesce would group them by index sum.
+    """
+    steps = np.concatenate((np.diff(tx), np.diff(rx)))
+    if steps.size == 0:
+        return None
+    pitch = steps.min()
+    if pitch <= 4.0 * tol:
+        return None
+    x0 = min(tx[0], rx[0])
+    indices = []
+    for pos in (tx, rx):
+        k = np.rint((pos - x0) / pitch)
+        if np.max(np.abs(pos - x0 - k * pitch)) > 0.25 * tol:
+            return None
+        indices.append(k.astype(int))
+    if max(k[-1] for k in indices) >= tx.size * rx.size:
+        return None
+    return indices
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,11 @@ the factors at the image points and on the grid, streamed over blocks of
 image points so that no array spans both all the points and the elements.
 When a layout's Tx and Rx positions and weights coincide (every uniform
 layout) the two factors are one shared table, and each Gram is one matrix
-product squared elementwise.
+product squared elementwise.  Every kernel writes into the array it
+returns: phase tables are exponentiated in place, and the Gram is weighted
+in the array of its first matrix product and never symmetrized, because
+the eigensolvers read only its lower triangle and the norm only its
+diagonal, so its upper triangle is never read.
 """
 
 from __future__ import annotations
@@ -186,13 +190,21 @@ def _one_way_phases(positions: np.ndarray, points: np.ndarray, z_plane: float, k
     With dx = x - x' and dz = z' - z_plane, kernel 'exact' takes
     R = hypot(dx, dz) and 'fresnel' the paraxial R = dz + dx^2/(2 dz).
     """
+    if kernel not in ("exact", "fresnel"):
+        raise ValueError(f"unknown kernel {kernel!r}")
     dx = positions[:, None] - points[None, :, 0]
     dz = points[None, :, 1] - z_plane
+    # in place, in the operation order of exp(-1j * k * hypot(dx, dz)) and
+    # exp(-1j * (k dz + k / (2 dz) dx^2)): the same bits, with one real and
+    # one complex (n, m) table alive
     if kernel == "exact":
-        return np.exp(-1j * k * np.hypot(dx, dz))
-    if kernel == "fresnel":
-        return np.exp(-1j * (k * dz + k / (2.0 * dz) * dx ** 2))
-    raise ValueError(f"unknown kernel {kernel!r}")
+        arg = np.multiply(-1j * k, np.hypot(dx, dz, out=dx))
+    else:
+        np.square(dx, out=dx)
+        dx *= k / (2.0 * dz)
+        dx += k * dz
+        arg = np.multiply(-1j, dx)
+    return np.exp(arg, out=arg)
 
 
 def _tx_rx_factors(array: ArrayLayout, points: np.ndarray, z_plane: float, k: float,
@@ -200,13 +212,13 @@ def _tx_rx_factors(array: ArrayLayout, points: np.ndarray, z_plane: float, k: fl
     """The Tx and Rx phases at scene points (m, 2) times the square roots of
     their weights; one array, returned twice, when the layout's Tx and Rx
     positions and weights coincide."""
-    f_tx = _one_way_phases(array.tx_positions, points, z_plane, k, kernel) \
-        * math.sqrt(array.tx_weight)
+    f_tx = _one_way_phases(array.tx_positions, points, z_plane, k, kernel)
+    f_tx *= math.sqrt(array.tx_weight)
     if array.tx_weight == array.rx_weight \
             and np.array_equal(array.tx_positions, array.rx_positions):
         return f_tx, f_tx
-    f_rx = _one_way_phases(array.rx_positions, points, z_plane, k, kernel) \
-        * math.sqrt(array.rx_weight)
+    f_rx = _one_way_phases(array.rx_positions, points, z_plane, k, kernel)
+    f_rx *= math.sqrt(array.rx_weight)
     return f_tx, f_rx
 
 
@@ -216,8 +228,10 @@ def _weighted_factors(array: ArrayLayout, points: np.ndarray, k: float) -> tuple
     weighted Tx and Rx phases (_tx_rx_factors) otherwise."""
     z_plane = array.aperture.z_plane
     if array.architecture == MONOSTATIC:
-        e_tx = _one_way_phases(array.tx_positions, points, z_plane, k)
-        return (e_tx * e_tx * math.sqrt(array.tx_weight),)
+        e = _one_way_phases(array.tx_positions, points, z_plane, k)
+        e *= e
+        e *= math.sqrt(array.tx_weight)
+        return (e,)
     return _tx_rx_factors(array, points, z_plane, k)
 
 
@@ -262,11 +276,11 @@ def build_operator(
 def _khatri_rao(factors: tuple, col_weights: np.ndarray) -> np.ndarray:
     """Row-wise Khatri-Rao product of the factors times diag(sqrt(col_weights))."""
     if len(factors) == 1:
-        kr = factors[0]
-    else:
-        t, r = factors
-        kr = (t[:, None, :] * r[None, :, :]).reshape(-1, col_weights.size)
-    return kr * np.sqrt(col_weights)
+        return factors[0] * np.sqrt(col_weights)
+    t, r = factors
+    kr = (t[:, None, :] * r[None, :, :]).reshape(-1, col_weights.size)
+    kr *= np.sqrt(col_weights)
+    return kr
 
 
 def _factored_gram(
@@ -274,12 +288,18 @@ def _factored_gram(
 ) -> np.ndarray:
     """Hermitian Gram of the Tx x Rx product rows: the elementwise product
     of the one-way Grams, so the N^2 rows never enter a matrix product; a
-    shared Tx/Rx table has one one-way Gram, squared."""
+    shared Tx/Rx table has one one-way Gram, squared.
+
+    The products accumulate in the Tx Gram's array.  Only its lower triangle
+    and the real part of its diagonal are meant to be read (eigh, eigvalsh,
+    the trace); the upper triangle is what the matrix products left there.
+    """
     root_w = np.sqrt(col_weights)
-    tx_gram = tx_factor.conj().T @ tx_factor
-    rx_gram = tx_gram if rx_factor is tx_factor else rx_factor.conj().T @ rx_factor
-    gram = tx_gram * rx_gram * root_w[:, None] * root_w[None, :]
-    return 0.5 * (gram + gram.conj().T)
+    gram = tx_factor.conj().T @ tx_factor
+    gram *= gram if rx_factor is tx_factor else rx_factor.conj().T @ rx_factor
+    gram *= root_w[:, None]
+    gram *= root_w[None, :]
+    return gram
 
 
 @dataclass(frozen=True)
@@ -333,9 +353,9 @@ def _spectrum(factors: tuple, col_weights: np.ndarray, vectors: bool) -> SvdSpec
             gram = _factored_gram(*factors, col_weights)
             hs = float(np.trace(gram).real)
             evals, evecs = np.linalg.eigh(gram) if vectors else (np.linalg.eigvalsh(gram), None)
-            order = np.argsort(evals)[::-1]
-            sigma = np.sqrt(np.clip(evals[order], 0.0, None))
-            v = None if evecs is None else evecs[:, order]
+            # eigh's eigenvalues ascend; non-increasing order is the reversed view
+            sigma = np.sqrt(np.clip(evals[::-1], 0.0, None))
+            v = None if evecs is None else evecs[:, ::-1]
         else:
             m = _khatri_rao(factors, col_weights)
             hs = float(np.vdot(m, m).real)

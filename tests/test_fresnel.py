@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -21,7 +22,7 @@ from aperture_dof import (
     sbp_g3_fresnel,
     svd,
 )
-from aperture_dof.fresnel import _coalesce, fresnel_kernel_midpoint
+from aperture_dof.fresnel import _coalesce, _lattice_indices, fresnel_kernel_midpoint
 from aperture_dof.operator import _one_way_phases
 
 from conftest import LAM, L1, L2, D
@@ -149,6 +150,65 @@ def test_effective_aperture_matches_double_sum_multiset():
         expected = _brute_force_effective(tx, rx)
         got = {round(p, 9): int(m) for p, m in zip(eff.positions, eff.multiplicities)}
         assert got == dict(expected)
+
+
+def _coalesced_pair_midpoints(a, b, tol):
+    # every pair midpoint through _coalesce: the path for trains off a lattice
+    pos = (0.5 * a.positions[:, None] + 0.5 * b.positions[None, :]).ravel()
+    mul = (a.multiplicities[:, None] * b.multiplicities[None, :]).ravel()
+    return _coalesce(pos, mul, tol)
+
+
+_PITCH = 7.5e-4
+_TRAINS = {
+    # name: (Tx lattice indices, Rx lattice indices, jitter / tol, on lattice)
+    "uniform": (np.arange(200), np.arange(200), 0.0, True),
+    "gaps": (np.array([0, 1, 2, 5, 6, 9, 30]), np.array([1, 3, 4, 8, 20]), 0.0, True),
+    "offset": (np.arange(3, 40), np.arange(0, 25, 2), 0.0, True),
+    "single_tx": (np.array([4]), np.arange(10), 0.0, True),
+    "jittered": (np.arange(60), np.arange(0, 60, 3), 0.002, True),
+    "interleaved": (np.arange(0, 60, 2), np.arange(0, 60, 2) + 0.5, 0.0, False),
+    "off_lattice": (np.arange(60), np.arange(0, 60, 3), 0.3, False),
+    # more lattice sites than pairs: the pair midpoints are the smaller arrays
+    "sparse": (np.array([0, 1, 300]), np.array([0, 2, 5]), 0.0, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TRAINS))
+def test_effective_aperture_on_a_lattice_matches_coalesced_pairs(name):
+    i_tx, i_rx, jitter, on_lattice = _TRAINS[name]
+    rng = np.random.default_rng(sorted(_TRAINS).index(name))
+    tol = LAM / 1000.0
+    a, b = (ApertureFunction(-0.075 + _PITCH * i + rng.uniform(-jitter, jitter, i.size) * tol,
+                             rng.integers(1, 4, i.size)) for i in (i_tx, i_rx))
+    assert (_lattice_indices(a.positions, b.positions, tol) is not None) == on_lattice
+    eff = effective_aperture(a, b, merge_tol=tol)
+    want_pos, want_mul = _coalesced_pair_midpoints(a, b, tol)
+    np.testing.assert_array_equal(eff.multiplicities, want_mul)
+    np.testing.assert_allclose(eff.positions, want_pos, rtol=0, atol=1e-15)
+
+
+def test_lattice_needs_a_pitch_above_four_merge_tolerances():
+    pos = np.arange(5) * 1e-3
+    assert _lattice_indices(pos, pos, 2.4e-4) is not None
+    assert _lattice_indices(pos, pos, 2.5e-4) is None
+    assert _lattice_indices(pos[:1], pos[:1], 1e-9) is None  # no step to take a pitch from
+
+
+def test_effective_aperture_of_a_uniform_layout_does_not_grow_as_n_squared():
+    # all 10^6 pair midpoints of 1000 elements, with _coalesce's sorted
+    # copies, take about 46 MiB
+    tol = LAM / 1000.0
+    layout = ArrayLayout.uniform(Aperture.centered(L1, D), 1000, MULTISTATIC)
+    train = ApertureFunction.from_positions(layout.tx_positions, tol)
+    tracemalloc.start()
+    try:
+        eff = effective_aperture(train, train, merge_tol=tol)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert eff.positions.size == 1999 and eff.total == 1000 ** 2
+    assert peak <= 2**20
 
 
 def test_kernel_factored_form_equals_direct_form():

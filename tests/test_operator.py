@@ -22,7 +22,12 @@ from aperture_dof import (
     sigma_bar_sq,
     svd,
 )
-from aperture_dof.operator import _POINT_BLOCK, _one_way_phases, adjoint_to_points
+from aperture_dof.operator import (
+    _POINT_BLOCK,
+    _factored_gram,
+    _one_way_phases,
+    adjoint_to_points,
+)
 
 from conftest import LAM, L1, L2, D, small_operator, random_gamma
 
@@ -148,6 +153,84 @@ def test_gram_route_matches_dense_svd():
     sig_dense = np.linalg.svd(op.matrix, compute_uv=False)
     np.testing.assert_allclose(sig_gram, sig_dense, rtol=0, atol=1e-9 * sig_dense[0])
 
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def _nominal_phase_inputs(n_elements=200, n_scene=400):
+    aperture = Aperture.centered(L1, D)
+    layout = ArrayLayout.uniform(aperture, n_elements, MULTISTATIC)
+    scene = SceneSegment(L2 / 2.0)
+    points = scene.points(scene.midpoints(n_scene))
+    return layout.tx_positions, points, aperture.z_plane, WaveContext(LAM).k
+
+
+@pytest.mark.parametrize("kernel", ["exact", "fresnel"])
+def test_one_way_phases_match_their_expressions_bit_for_bit(kernel):
+    positions, points, z_plane, k = _nominal_phase_inputs(n_elements=37, n_scene=53)
+    dx = positions[:, None] - points[None, :, 0]
+    dz = points[None, :, 1] - z_plane
+    if kernel == "exact":
+        expected = np.exp(-1j * k * np.hypot(dx, dz))
+    else:
+        expected = np.exp(-1j * (k * dz + k / (2.0 * dz) * dx ** 2))
+    np.testing.assert_array_equal(_one_way_phases(positions, points, z_plane, k, kernel),
+                                  expected)
+
+
+@pytest.mark.parametrize("kernel", ["exact", "fresnel"])
+def test_one_way_phases_hold_the_table_and_one_real_table(kernel):
+    # N = 200, n = 400: the complex table is 1.2 MiB; building it through
+    # separate real and complex temporaries peaks near 3.1 MiB
+    positions, points, z_plane, k = _nominal_phase_inputs()
+    cells = positions.size * points.shape[0]
+    peak = _traced_peak(_one_way_phases, positions, points, z_plane, k, kernel)
+    assert peak <= 1.1 * (16 * cells + 8 * cells)
+
+
+def test_factored_gram_holds_the_gram_and_one_conjugated_factor():
+    # a separate one-way Gram, weighted product and symmetrized copy take
+    # a shared-table Gram at N = 200, n = 400 to about 9.9 MiB
+    op = small_operator(MULTISTATIC, n_elements=200, n_scene=400)
+    t, r = op.factors
+    assert t is r
+    peak = _traced_peak(_factored_gram, t, r, op.col_weights)
+    assert peak <= 1.1 * (16 * 400 * 400 + t.nbytes)
+
+
+@pytest.mark.parametrize("n_tx,n_rx", [(24, 24), (9, 13)])
+def test_factored_gram_spectrum_reads_only_the_lower_triangle(n_tx, n_rx):
+    # the Gram is returned without 0.5 (G + G^H): eigvalsh reads its lower
+    # triangle, and the trace its real diagonal, so both are unchanged
+    aperture = Aperture.centered(L1, D)
+    layout = ArrayLayout(MULTISTATIC, np.linspace(-0.07, 0.07, n_tx),
+                         np.linspace(-0.06, 0.07, n_rx), aperture, L1 / n_tx, L1 / n_rx)
+    op = build_operator(SceneSegment(L2 / 2.0), layout, WaveContext(LAM), 48)
+    gram = _factored_gram(*op.factors, op.col_weights)
+    symmetric = 0.5 * (gram + gram.conj().T)
+    np.testing.assert_array_equal(np.linalg.eigvalsh(gram), np.linalg.eigvalsh(symmetric))
+    assert np.trace(gram).real == np.trace(symmetric).real
+
+
+def test_gram_route_keeps_the_argsort_column_order():
+    # eigh's ascending output reversed by a view, not an argsort copy: the
+    # singular values and vectors of a nominal multistatic operator are
+    # those of the sorted decomposition, bit for bit
+    op = small_operator(MULTISTATIC, n_elements=200, n_scene=400)
+    evals, evecs = np.linalg.eigh(_factored_gram(*op.factors, op.col_weights))
+    order = np.argsort(evals)[::-1]
+    spectrum = svd(op)
+    np.testing.assert_array_equal(spectrum.singular_values,
+                                  np.sqrt(np.clip(evals[order], 0.0, None)))
+    np.testing.assert_array_equal(spectrum.right_vectors, evecs[:, order])
 
 def test_tall_monostatic_spectrum_matches_dense_svd():
     # a tall monostatic matrix has no one-way factors to build a Gram from;

@@ -58,8 +58,7 @@ def main():
         for arch in (MONOSTATIC, MULTISTATIC):
             layout = ArrayLayout.uniform(aperture, args.n_elements, arch)
             op = build_operator(scene, layout, wave, args.n_scene)
-            sp = svd(op)
-            del op
+            sp = svd(op, vectors=False)
             knee = dof_knee(sp)
             sb, sb2 = sigma_bar(sp), sigma_bar_sq(sp)
             tag = "mono" if arch == MONOSTATIC else "multi"
@@ -71,7 +70,7 @@ def main():
             })
         (out / f"spectra_{name}.svg").write_text(plot_lines(
             series, title=f"{name}: normalized singular values",
-            xlabel="index", ylabel="sigma / sigma_1", ylog=True,
+            xlabel="index", ylabel="sigma / sigma_1",
             vlines=[(sbp, f"SBP = {sbp:.1f}")], y_floor=1e-8,
         ))
 

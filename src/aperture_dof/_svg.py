@@ -1,10 +1,11 @@
-"""Tiny native SVG line-plot writer; keeps the CLI free of plot dependencies."""
+"""Tiny native SVG log-axis line-plot writer; keeps the CLI free of plot dependencies."""
 
 from __future__ import annotations
 
 import math
 
 _PALETTE = ("#1f6fb4", "#d0541f", "#3a8f3a", "#8451a8", "#9c8820")
+_WIDTH, _HEIGHT = 760, 460
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64.0, 16.0, 34.0, 46.0
 
 
@@ -26,26 +27,18 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     return ticks
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.6g}"
-
-
 def plot_lines(
     series: list[dict],
     title: str = "",
     xlabel: str = "",
     ylabel: str = "",
-    ylog: bool = False,
     vlines: list[tuple[float, str]] | None = None,
-    width: int = 760,
-    height: int = 460,
     y_floor: float = 1e-12,
 ) -> str:
-    """Render polyline series into an SVG document string.
+    """Render polyline series on a log10 y axis into an SVG document string.
 
-    Each series dict: x (sequence), y (sequence), label (str, optional),
-    dashed (bool, optional).  With ylog=True, y values are clamped at
-    y_floor and mapped through log10 with decade ticks.
+    Each series dict: x (sequence), y (sequence), label (str, optional).
+    y values are clamped at y_floor; y ticks fall on decades.
     """
     xs = [float(v) for s in series for v in s["x"]]
     x_lo, x_hi = min(xs), max(xs)
@@ -56,52 +49,41 @@ def plot_lines(
         x_hi = max(x_hi, max(v for v, _ in vlines))
 
     def ys_of(s):
-        return [max(float(v), y_floor) if ylog else float(v) for v in s["y"]]
+        return [max(float(v), y_floor) for v in s["y"]]
 
     ally = [v for s in series for v in ys_of(s)]
-    if ylog:
-        y_lo = 10.0 ** math.floor(math.log10(min(ally)))
-        y_hi = 10.0 ** math.ceil(math.log10(max(ally)))
-        if y_hi == y_lo:
-            y_hi = y_lo * 10.0
-        ticks_y = []
-        d = math.log10(y_lo)
-        # cap decade labels so dense floors stay readable
-        step = max(1, round((math.log10(y_hi) - d) / 8))
-        while d <= math.log10(y_hi) + 1e-9:
-            ticks_y.append(10.0 ** d)
-            d += step
-    else:
-        y_lo, y_hi = min(ally), max(ally)
-        if y_hi == y_lo:
-            y_hi = y_lo + 1.0
-        pad = 0.05 * (y_hi - y_lo)
-        y_lo, y_hi = y_lo - pad, y_hi + pad
-        ticks_y = _nice_ticks(y_lo, y_hi)
+    y_lo = 10.0 ** math.floor(math.log10(min(ally)))
+    y_hi = 10.0 ** math.ceil(math.log10(max(ally)))
+    if y_hi == y_lo:
+        y_hi = y_lo * 10.0
+    ticks_y = []
+    d = math.log10(y_lo)
+    # cap decade labels so dense floors stay readable
+    step = max(1, round((math.log10(y_hi) - d) / 8))
+    while d <= math.log10(y_hi) + 1e-9:
+        ticks_y.append(10.0 ** d)
+        d += step
 
-    plot_w = width - _MARGIN_L - _MARGIN_R
-    plot_h = height - _MARGIN_T - _MARGIN_B
+    plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
+    plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
     def px(x: float) -> float:
         return _MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
 
     def py(y: float) -> float:
-        if ylog:
-            f = (math.log10(y) - math.log10(y_lo)) / (math.log10(y_hi) - math.log10(y_lo))
-        else:
-            f = (y - y_lo) / (y_hi - y_lo)
+        f = (math.log10(y) - math.log10(y_lo)) / (math.log10(y_hi) - math.log10(y_lo))
         return _MARGIN_T + (1.0 - f) * plot_h
 
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="11">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}" font-family="sans-serif" font-size="11">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{plot_w:.1f}" height="{plot_h:.1f}" '
         'fill="none" stroke="#444" stroke-width="1"/>',
     ]
     if title:
         out.append(
-            f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" font-size="13">{title}</text>'
+            f'<text x="{_WIDTH / 2:.1f}" y="20" text-anchor="middle" font-size="13">{title}</text>'
         )
 
     for t in _nice_ticks(x_lo, x_hi):
@@ -112,7 +94,7 @@ def plot_lines(
         )
         out.append(
             f'<text x="{x:.1f}" y="{_MARGIN_T + plot_h + 16:.1f}" '
-            f'text-anchor="middle">{_fmt(t)}</text>'
+            f'text-anchor="middle">{t:.6g}</text>'
         )
     for t in ticks_y:
         y = py(t)
@@ -124,13 +106,13 @@ def plot_lines(
             f'<line x1="{_MARGIN_L:.1f}" y1="{y:.1f}" x2="{_MARGIN_L + plot_w:.1f}" '
             f'y2="{y:.1f}" stroke="#ddd" stroke-width="0.5"/>'
         )
-        label = f"1e{round(math.log10(t))}" if ylog else _fmt(t)
         out.append(
-            f'<text x="{_MARGIN_L - 7:.1f}" y="{y + 3.5:.1f}" text-anchor="end">{label}</text>'
+            f'<text x="{_MARGIN_L - 7:.1f}" y="{y + 3.5:.1f}" '
+            f'text-anchor="end">1e{round(math.log10(t))}</text>'
         )
     if xlabel:
         out.append(
-            f'<text x="{_MARGIN_L + plot_w / 2:.1f}" y="{height - 10}" '
+            f'<text x="{_MARGIN_L + plot_w / 2:.1f}" y="{_HEIGHT - 10}" '
             f'text-anchor="middle">{xlabel}</text>'
         )
     if ylabel:
@@ -155,18 +137,17 @@ def plot_lines(
     legend_y = _MARGIN_T + 14
     for i, s in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
-        dash = ' stroke-dasharray="7 4"' if s.get("dashed") else ""
         pts = " ".join(
             f"{px(float(x)):.2f},{py(y):.2f}" for x, y in zip(s["x"], ys_of(s))
         )
         out.append(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"{dash}/>'
+            f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
         if s.get("label"):
             lx = _MARGIN_L + plot_w - 150
             out.append(
                 f'<line x1="{lx:.1f}" y1="{legend_y - 4:.1f}" x2="{lx + 22:.1f}" '
-                f'y2="{legend_y - 4:.1f}" stroke="{color}" stroke-width="1.5"{dash}/>'
+                f'y2="{legend_y - 4:.1f}" stroke="{color}" stroke-width="1.5"/>'
             )
             out.append(f'<text x="{lx + 27:.1f}" y="{legend_y:.1f}">{s["label"]}</text>')
             legend_y += 15

@@ -390,7 +390,6 @@ def cmd_svd(cfg: ExperimentConfig, out: Path, archs: tuple) -> list:
             title="Normalized singular values",
             xlabel="index",
             ylabel="sigma / sigma_1",
-            ylog=True,
             vlines=[(sbp_res.value, f"SBP = {sbp_res.value:.1f}")],
             y_floor=1e-10,
         )

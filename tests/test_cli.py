@@ -1,11 +1,24 @@
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from aperture_dof import (
+    MULTISTATIC,
+    Aperture,
+    ArrayLayout,
+    SceneSegment,
+    compute_sbp,
+    resolution_sweep,
+    theta_heu,
+    theta_max,
+)
 from aperture_dof.cli import ConfigError, ExperimentConfig, _write_csv, main
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 NOMINAL = """
 [geometry]
@@ -69,6 +82,12 @@ def test_radian_angles_and_spacing(tmp_path):
     cfg = ExperimentConfig.from_file(path)
     assert cfg.theta == 0.5
     assert cfg.n_elements == 200  # 0.15 / 0.00075
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.name)
+def test_every_shipped_config_loads(path):
+    # outputs land under the ignored results/ tree
+    assert ExperimentConfig.from_file(path).out_dir.startswith("results/")
 
 
 @pytest.mark.parametrize(
@@ -264,6 +283,24 @@ def test_sbp_sweep_requires_sweep_section(tmp_path, capsys):
     assert "sweep" in capsys.readouterr().err
 
 
+def test_fine_tilt_sweep_config(tmp_path, aperture, wave):
+    # 181 tilts, broadside to 90 deg in 0.5 deg steps, of the 10 cm scene
+    # shifted 15 cm off axis at D = 20 cm
+    path = CONFIGS / "tilt_sweep_fine.cfg"
+    assert main(["sbp-sweep", "--config", str(path), "--out", str(tmp_path)]) == 0
+    header, rows = read_csv(tmp_path / "sbp_sweep.csv")
+    assert header == ["param_value", "sbp", "theta_heu", "theta_max"]
+    assert len(rows) == 181
+    assert float(rows[-1][0]) == pytest.approx(math.pi / 2)
+    for i, (value, sbp, _, _) in enumerate(rows):
+        tilt = math.radians(0.5 * i)
+        assert value == f"{tilt:.9g}"
+        assert sbp == f"{compute_sbp(SceneSegment(0.05, tilt, 0.15), aperture, wave).value:.9g}"
+    assert {row[2] for row in rows} == {f"{theta_heu(0.15, 0.20):.9g}"}
+    best = theta_max(0.15, SceneSegment(0.05), aperture, wave)
+    assert {row[3] for row in rows} == {f"{best:.9g}"}
+
+
 def test_kspace_command(tmp_path, wave):
     cfg = write_config(tmp_path, NOMINAL)
     assert main(["kspace", "--config", str(cfg)]) == 0
@@ -345,6 +382,31 @@ def test_resolution_check_catches_a_wrong_bandwidth(tmp_path, monkeypatch, capsy
     cfg = write_config(tmp_path, body)
     assert main(["resolution", "--config", str(cfg)]) == 1
     assert "reciprocal bandwidth" in capsys.readouterr().err
+
+
+def test_resolution_g1_multistatic_widths(tmp_path, wave):
+    path = CONFIGS / "resolution_g1.cfg"
+    argv = ["resolution", "--config", str(path), "--arch", "multi", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert sorted(f.name for f in tmp_path.iterdir()) == [
+        "psf_mf_multi.csv", "psf_pinv_multi.csv", "resolution.csv"]
+    header, rows = read_csv(tmp_path / "resolution.csv")
+    assert header == [
+        "position", "reciprocal_bandwidth",
+        "width_pinv_multi", "flag_pinv_multi", "width_mf_multi", "flag_mf_multi",
+    ]
+    # the 10 cm scene at D = 40 cm seen by 64 multistatic elements
+    aperture = Aperture.centered(0.15, 0.40)
+    layout = ArrayLayout.uniform(aperture, 64, MULTISTATIC)
+    curve = resolution_sweep(SceneSegment(0.05), aperture, wave, layout, n_scene=96)
+    columns = dict(zip(header, zip(*rows)))
+    for name, values in (
+        ("position", curve.positions),
+        ("reciprocal_bandwidth", curve.reciprocal_bandwidth),
+        ("width_pinv_multi", curve.widths["pinv"]),
+        ("width_mf_multi", curve.widths["mf"]),
+    ):
+        assert columns[name] == tuple(f"{v:.9g}" for v in values)
 
 
 def test_out_of_memory_exits_1(tmp_path, monkeypatch, capsys):

@@ -16,13 +16,8 @@ SCRIPTS = ROOT / "scripts"
     [
         ("run_geometry_cases.py", ["--n-elements", "16", "--n-scene", "40"],
          ["geometry_cases.csv", "spectra_G1.svg"]),
-        ("run_tilt_sweep.py", ["--n-angles", "7"],
-         ["tilt_sweep.csv", "tilt_sweep.svg"]),
         ("run_fresnel_redundancy.py", ["--n-elements", "8"],
          ["redundancy_vs_standoff.csv"]),
-        ("run_resolution_study.py",
-         ["--n-elements", "16", "--n-scene", "48", "--n-targets", "3"],
-         ["resolution.csv", "resolution.svg"]),
     ],
 )
 def test_script_runs(tmp_path, script, args, outputs):

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _svg
-from .fresnel import _pair_report, fresnel_dof, fresnel_equivalence_check, sbp_g3_fresnel
+from .fresnel import fresnel_dof, fresnel_equivalence_check, sbp_g3_fresnel
 from .geometry import Aperture, SceneSegment, WaveContext
 from .kspace import (
     bandwidth,
@@ -57,9 +57,13 @@ def _parse_number(text: str, where: str, kind: str) -> tuple:
     m = _NUM_RE.match(text)
     if m:
         try:
-            return float(m.group(1)), m.group(2)
+            value = float(m.group(1))
         except ValueError:
             pass
+        else:
+            if not math.isfinite(value):
+                raise ConfigError(f"{where}: {kind} {text!r} is not finite")
+            return value, m.group(2)
     raise ConfigError(f"{where}: cannot parse {kind} {text!r}")
 
 
@@ -144,6 +148,18 @@ def _parse_analyses(text: str, where: str, *_) -> tuple:
     return items
 
 
+def _parse_methods(text: str, where: str, *_) -> tuple:
+    items = _parse_list(text)
+    if not items:
+        raise ConfigError(f"{where}: must name at least one method")
+    for i, item in enumerate(items):
+        if item not in ("pinv", "mf"):
+            raise ConfigError(f"{where}: unknown method {item!r}")
+        if item in items[:i]:
+            raise ConfigError(f"{where}: method {item!r} given twice")
+    return items
+
+
 def _parse_sweep_param(text: str, where: str, *_) -> str:
     param = text.strip()
     if param not in _SWEEP_PARAMS:
@@ -186,7 +202,7 @@ _FIELDS = (
     ("sweep", "include_theta", "sweep_include_theta", _parse_bool),
     ("resolution", "n_targets", "res_n_targets", _parse_int),
     ("resolution", "oversample", "res_oversample", _parse_int),
-    ("resolution", "methods", "res_methods", _parse_list),
+    ("resolution", "methods", "res_methods", _parse_methods),
     ("kspace", "point_u", "kspace_point_u", _parse_length),
 )
 
@@ -247,9 +263,6 @@ class ExperimentConfig:
             for is_bad, message in _RANGE_CHECKS:
                 if is_bad(cfg):
                     raise ConfigError(prefix + message)
-        for m in self.res_methods:
-            if m not in ("pinv", "mf"):
-                raise ConfigError(f"[resolution] methods: unknown method {m!r}")
         if abs(self.kspace_point_u) > self.L2 / 2.0:
             raise ConfigError("[kspace] point_u: outside the scene segment")
 
@@ -426,7 +439,7 @@ def cmd_sbp_sweep(cfg: ExperimentConfig, out: Path) -> list:
             row.append(theta_heu(at.t, at.D))
             key = (at.t, at.L2, at.D)
             if key not in best_tilt:
-                best_tilt[key] = theta_max(at.t, scene, aperture, wave, cfg.sbp_points)
+                best_tilt[key] = theta_max(scene, aperture, wave, cfg.sbp_points)
             row.append(best_tilt[key])
         rows.append(row)
     return [_write_csv(out / "sbp_sweep.csv", header, *zip(*rows))]
@@ -472,18 +485,13 @@ def cmd_fresnel(cfg: ExperimentConfig, out: Path) -> list:
     wave = cfg.wave()
     if cfg.theta != 0.0:
         raise ConfigError("[geometry] theta: fresnel analysis needs a parallel scene")
-    layout = cfg.layout(MULTISTATIC)
-    scene = cfg.scene()
-    report_f = fresnel_equivalence_check(layout, scene, wave, n_scene=cfg.n_scene)
-    # the effective side does not depend on the pair kernel: reuse it
-    report_e = _pair_report(layout, scene, wave, report_f.standoff, "exact", cfg.n_scene,
-                            report_f.effective, report_f.sigma_effective)
+    report = fresnel_equivalence_check(cfg.layout(MULTISTATIC), cfg.scene(), wave, cfg.n_scene)
     _check(
-        report_f.max_rel_discrepancy <= 1e-6,
+        report.max_rel_discrepancy["fresnel"] <= 1e-6,
         "effective-aperture equivalence broken for the Fresnel kernel",
     )
 
-    eff = report_f.effective
+    eff = report.effective
     payload = {
         "geometry": _geometry_payload(cfg),
         "fresnel_dof": fresnel_dof(cfg.L1, cfg.L2, cfg.D, cfg.wavelength),
@@ -491,10 +499,8 @@ def cmd_fresnel(cfg: ExperimentConfig, out: Path) -> list:
             cfg.L1, cfg.L2, cfg.D, cfg.wavelength, cfg.theta),
         "sbp_closed_form_g1": compute_sbp(
             SceneSegment(cfg.L2 / 2.0), cfg.aperture(), wave).value,
-        "equivalence": {
-            "fresnel_kernel_max_rel_discrepancy": report_f.max_rel_discrepancy,
-            "exact_kernel_max_rel_discrepancy": report_e.max_rel_discrepancy,
-        },
+        "equivalence": {f"{kernel}_kernel_max_rel_discrepancy": value
+                        for kernel, value in report.max_rel_discrepancy.items()},
         "effective_aperture_size": int(eff.positions.size),
         "effective_aperture_total": eff.total,
     }
@@ -512,7 +518,7 @@ def cmd_resolution(cfg: ExperimentConfig, out: Path, archs: tuple) -> list:
     curves = {}
     for arch in archs:
         curve = resolution_sweep(
-            scene, aperture, wave, cfg.layout(arch),
+            scene, wave, cfg.layout(arch),
             methods=cfg.res_methods,
             n_scene=cfg.n_scene,
             n_targets=cfg.res_n_targets,

@@ -198,37 +198,37 @@ def _lattice_indices(tx: np.ndarray, rx: np.ndarray, tol: float) -> list | None:
 @dataclass(frozen=True)
 class FresnelEquivalenceReport:
     """Singular-value comparison of a multistatic array vs its effective
-    monostatic replacement `effective` (Fresnel-propagated on that side)."""
+    monostatic replacement `effective` (Fresnel-propagated on that side),
+    under each pair kernel: sigma_pair and max_rel_discrepancy are keyed
+    'fresnel' and 'exact'."""
 
-    kernel: str
-    standoff: float
-    max_rel_discrepancy: float
-    sigma_pair: np.ndarray
-    sigma_effective: np.ndarray
     effective: ApertureFunction
+    sigma_effective: np.ndarray
+    sigma_pair: dict
+    max_rel_discrepancy: dict
 
 
 def fresnel_equivalence_check(
     array: ArrayLayout,
     scene: SceneSegment,
     wave: WaveContext,
-    D: float | None = None,
-    kernel: str = "fresnel",
     n_scene: int = 200,
 ) -> FresnelEquivalenceReport:
     """Compare singular values of a multistatic array against its effective
     monostatic replacement in the Fresnel regime.
 
     Both sides are Born operators in the package frame (aperture on z = -D,
-    scene on z = 0), built from the operator's phase kernel, and both go
-    through svd's spectrum routine.  The pair side's one-way factors use
-    `kernel` ('exact' or its 'fresnel' specialization).  The effective side
-    always uses the monostatic Fresnel kernel on the effective_aperture
-    positions: one Fresnel leg at twice the wavenumber.  Per-pair Fresnel
-    phase masks are unit modulus row scalings, and rows sharing a midpoint
-    differ only by such masks, so duplicates collapse into one row scaled by
-    sqrt(multiplicity) without changing any singular value; that collapsed
-    form is what is decomposed here.
+    with D the array's aperture standoff, scene on z = 0), built from the
+    operator's phase kernel, and both go through svd's spectrum routine.
+    The effective side is built once and freed before the pair side, whose
+    one-way factors take each kernel in turn: 'fresnel', under which the
+    equivalence is exact, then 'exact', under which it is approximate.
+    The effective side always uses the monostatic Fresnel kernel on the
+    effective_aperture positions: one Fresnel leg at twice the wavenumber.
+    Per-pair Fresnel phase masks are unit modulus row scalings, and rows
+    sharing a midpoint differ only by such masks, so duplicates collapse
+    into one row scaled by sqrt(multiplicity) without changing any singular
+    value; that collapsed form is what is decomposed here.
 
     Parameters
     ----------
@@ -236,8 +236,6 @@ def fresnel_equivalence_check(
         Tx/Rx element positions; the architecture tag is not consulted.
     scene : SceneSegment
         Must be parallel (theta = 0).
-    D : float, optional
-        Standoff override; defaults to the array's aperture standoff.
     n_scene : int
         Number of scene samples, >= 2, as in build_operator.
     """
@@ -245,10 +243,6 @@ def fresnel_equivalence_check(
         raise ValueError("Fresnel equivalence check requires a parallel scene")
     if n_scene < 2:
         raise ValueError("need n_scene >= 2")
-    if D is None:
-        D = array.aperture.standoff
-    if D <= 0.0:
-        raise ValueError("standoff must be positive")
 
     tol = wave.wavelength / 1000.0
     eff = effective_aperture(
@@ -257,30 +251,19 @@ def fresnel_equivalence_check(
         merge_tol=tol,
     )
     points = scene.points(scene.midpoints(n_scene))
-    factor = _one_way_phases(eff.positions, points, -D, 2.0 * wave.k, "fresnel")
+    col_weights = np.full(n_scene, scene.length / n_scene)
+    z_plane = array.aperture.z_plane
+    factor = _one_way_phases(eff.positions, points, z_plane, 2.0 * wave.k, "fresnel")
     factor *= np.sqrt(eff.multiplicities * array.tx_weight * array.rx_weight)[:, None]
-    sig_eff = _spectrum((factor,), np.full(n_scene, scene.length / n_scene),
-                        vectors=False).singular_values
+    sig_eff = _spectrum((factor,), col_weights, vectors=False).singular_values
     del factor  # freed before the pair side is built
-    return _pair_report(array, scene, wave, D, kernel, n_scene, eff, sig_eff)
 
-
-def _pair_report(array: ArrayLayout, scene: SceneSegment, wave: WaveContext, D: float,
-                 kernel: str, n_scene: int, effective: ApertureFunction,
-                 sig_eff: np.ndarray) -> FresnelEquivalenceReport:
-    """Singular values of the pair side with `kernel`, compared against an
-    already built effective side (see fresnel_equivalence_check)."""
-    points = scene.points(scene.midpoints(n_scene))
-    sig_pair = _spectrum(_tx_rx_factors(array, points, -D, wave.k, kernel),
-                         np.full(n_scene, scene.length / n_scene), vectors=False).singular_values
-    n = max(sig_pair.size, sig_eff.size)
-    gap = np.pad(sig_pair, (0, n - sig_pair.size)) - np.pad(sig_eff, (0, n - sig_eff.size))
-    disc = float(np.max(np.abs(gap)) / sig_pair[0])
-    return FresnelEquivalenceReport(
-        kernel=kernel,
-        standoff=D,
-        max_rel_discrepancy=disc,
-        sigma_pair=sig_pair,
-        sigma_effective=sig_eff,
-        effective=effective,
-    )
+    sigma_pair, discrepancy = {}, {}
+    for kernel in ("fresnel", "exact"):
+        sig = _spectrum(_tx_rx_factors(array, points, z_plane, wave.k, kernel), col_weights,
+                        vectors=False).singular_values
+        n = max(sig.size, sig_eff.size)
+        gap = np.pad(sig, (0, n - sig.size)) - np.pad(sig_eff, (0, n - sig_eff.size))
+        sigma_pair[kernel] = sig
+        discrepancy[kernel] = float(np.max(np.abs(gap)) / sig[0])
+    return FresnelEquivalenceReport(eff, sig_eff, sigma_pair, discrepancy)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Aperture, SceneSegment, WaveContext
+from .geometry import SceneSegment, WaveContext
 from .kspace import bandwidth
 from .operator import (
     ArrayLayout,
@@ -255,7 +255,6 @@ def beamwidth_3db(profile: ImageProfile) -> float:
 
 def resolution_sweep(
     scene: SceneSegment,
-    aperture: Aperture,
     wave: WaveContext,
     array: ArrayLayout,
     methods: tuple = ("pinv", "mf"),
@@ -269,20 +268,18 @@ def resolution_sweep(
     Places n_targets point scatterers evenly across the interior of the
     scene (snapped to the scene grid), reconstructs each with every
     requested method, extracts 3dB widths, and evaluates the reciprocal
-    bandwidth at the same points.  Edge-clipped mainlobes are flagged, not
-    dropped.
+    bandwidth of the array's aperture at the same points.  Edge-clipped
+    mainlobes are flagged, not dropped.
 
     PINV truncation uses `rank`, defaulting to the -10 dB knee.  The
     complex fine-grid PSFs are returned on the curve (profiles[method] has
     shape (n_fine, n_targets)).
     """
+    if not methods:
+        raise ValueError("need at least one method")
     for m in methods:
         if m not in ("pinv", "mf"):
             raise ValueError(f"unknown method {m!r}")
-    if (aperture.a1, aperture.a2, aperture.standoff) != (
-        array.aperture.a1, array.aperture.a2, array.aperture.standoff,
-    ):
-        raise ValueError("aperture does not match the array's aperture")
 
     op = build_operator(scene, array, wave, n_scene)
     sp = svd(op)
@@ -321,7 +318,7 @@ def resolution_sweep(
         positions=positions,
         widths=widths,
         flagged=flagged,
-        reciprocal_bandwidth=1.0 / bandwidth(scene.points(positions), scene, aperture, wave),
+        reciprocal_bandwidth=1.0 / bandwidth(scene.points(positions), scene, array.aperture, wave),
         grid_spacing=scene.length / (n_scene * oversample),
         profiles=profiles,
         profile_coords=u_fine,

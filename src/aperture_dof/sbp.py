@@ -168,14 +168,14 @@ _TILT_CHUNK = 16
 
 
 def theta_max(
-    t: float,
     scene: SceneSegment,
     aperture: Aperture,
     wave: WaveContext,
     n_points: int = 512,
     tol: float = 1e-4,
 ) -> float:
-    """Tilt angle maximizing the numeric SBP for a segment shifted by t.
+    """Tilt angle maximizing the numeric SBP of the scene: a segment of its
+    half_length and shift, at any tilt (the scene's own tilt is not read).
 
     Coarse 181-point grid over [-pi/2, pi/2] followed by golden-section
     refinement of the best bracket down to `tol` radians.  Ties prefer the
@@ -183,6 +183,8 @@ def theta_max(
     behind the aperture plane are skipped; the rest form one interval
     around 0, and the bracket stays inside it.
     """
+
+    t = scene.shift
 
     def objective(theta: float) -> float:
         seg = SceneSegment(scene.half_length, theta, t)

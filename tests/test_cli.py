@@ -153,6 +153,13 @@ def test_every_shipped_config_loads(path):
         ("[geometry]\nL2 = 45cm\nD = 20cm\n[sweep]\nparam = theta\nvalues = 0deg, 75deg\n",
          re.escape("[sweep] values: theta = 1.30899694 rad breaks [geometry] theta: "
                    "the tilted scene reaches the aperture plane")),
+        ("[geometry]\nL2 = 1e999\n", re.escape("[geometry] L2: length '1e999' is not finite")),
+        ("[sweep]\nparam = t\nvalues = 0cm, 1e999\n",
+         re.escape("[sweep] values: length '1e999' is not finite")),
+        ("[resolution]\nmethods =\n",
+         re.escape("[resolution] methods: must name at least one method")),
+        ("[resolution]\nmethods = mf, mf\n",
+         re.escape("[resolution] methods: method 'mf' given twice")),
     ],
 )
 def test_config_rejection_names_the_offender(tmp_path, body, fragment):
@@ -297,7 +304,7 @@ def test_fine_tilt_sweep_config(tmp_path, aperture, wave):
         assert value == f"{tilt:.9g}"
         assert sbp == f"{compute_sbp(SceneSegment(0.05, tilt, 0.15), aperture, wave).value:.9g}"
     assert {row[2] for row in rows} == {f"{theta_heu(0.15, 0.20):.9g}"}
-    best = theta_max(0.15, SceneSegment(0.05), aperture, wave)
+    best = theta_max(SceneSegment(0.05, shift=0.15), aperture, wave)
     assert {row[3] for row in rows} == {f"{best:.9g}"}
 
 
@@ -340,10 +347,41 @@ def test_fresnel_command_matches_one_check_per_kernel(tmp_path):
     assert main(["fresnel", "--config", str(path)]) == 0
     written = json.loads((tmp_path / "results" / "fresnel.json").read_text())["equivalence"]
     cfg = ExperimentConfig.from_file(path)
+    report = fresnel_equivalence_check(cfg.layout(MULTISTATIC), cfg.scene(), cfg.wave(),
+                                       n_scene=cfg.n_scene)
     for kernel in ("fresnel", "exact"):
-        report = fresnel_equivalence_check(cfg.layout(MULTISTATIC), cfg.scene(), cfg.wave(),
-                                           kernel=kernel, n_scene=cfg.n_scene)
-        assert written[f"{kernel}_kernel_max_rel_discrepancy"] == report.max_rel_discrepancy
+        assert (written[f"{kernel}_kernel_max_rel_discrepancy"]
+                == report.max_rel_discrepancy[kernel])
+
+
+def test_fresnel_command_builds_one_effective_side_for_both_kernels(tmp_path, monkeypatch):
+    import aperture_dof.cli as cli
+    import aperture_dof.fresnel as fresnel
+
+    calls = []
+
+    def recording(name, fn, tag=lambda *_: None):
+        def wrapped(*args, **kwargs):
+            calls.append((name, tag(*args)))
+            result = fn(*args, **kwargs)
+            calls.append((name + " returned", None))
+            return result
+        return wrapped
+
+    monkeypatch.setattr(cli, "fresnel_equivalence_check",
+                        recording("check", fresnel.fresnel_equivalence_check))
+    monkeypatch.setattr(fresnel, "effective_aperture",
+                        recording("effective", fresnel.effective_aperture))
+    # tag each spectrum with its factor count and rows: the effective side
+    # is one 47-row factor, each pair side the shared 24-row Tx/Rx table
+    monkeypatch.setattr(fresnel, "_spectrum", recording(
+        "spectrum", fresnel._spectrum, lambda factors, *_: (len(factors), len(factors[0]))))
+    path = write_config(tmp_path, NOMINAL)
+    assert main(["fresnel", "--config", str(path)]) == 0
+    spectra = [call for tag in ((1, 47), (2, 24), (2, 24))
+               for call in (("spectrum", tag), ("spectrum returned", None))]
+    assert calls == [("check", None), ("effective", None), ("effective returned", None),
+                     *spectra, ("check returned", None)]
 
 
 def test_fresnel_command_rejects_tilted_scene(tmp_path, capsys):
@@ -398,7 +436,7 @@ def test_resolution_g1_multistatic_widths(tmp_path, wave):
     # the 10 cm scene at D = 40 cm seen by 64 multistatic elements
     aperture = Aperture.centered(0.15, 0.40)
     layout = ArrayLayout.uniform(aperture, 64, MULTISTATIC)
-    curve = resolution_sweep(SceneSegment(0.05), aperture, wave, layout, n_scene=96)
+    curve = resolution_sweep(SceneSegment(0.05), wave, layout, n_scene=96)
     columns = dict(zip(header, zip(*rows)))
     for name, values in (
         ("position", curve.positions),

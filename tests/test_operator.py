@@ -186,6 +186,12 @@ def test_one_way_phases_match_their_expressions_bit_for_bit(kernel):
                                   expected)
 
 
+def test_one_way_phases_reject_an_unknown_kernel():
+    positions, points, z_plane, k = _nominal_phase_inputs(n_elements=4, n_scene=5)
+    with pytest.raises(ValueError, match="unknown kernel 'paraxial'"):
+        _one_way_phases(positions, points, z_plane, k, kernel="paraxial")
+
+
 @pytest.mark.parametrize("kernel", ["exact", "fresnel"])
 def test_one_way_phases_hold_the_table_and_one_real_table(kernel):
     # N = 200, n = 400: the complex table is 1.2 MiB; building it through

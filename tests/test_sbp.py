@@ -148,15 +148,14 @@ def test_theta_heu_value():
 def test_theta_max_centered_scene_is_broadside():
     ap = Aperture.centered(L1, D)
     wave = WaveContext(LAM)
-    tm = theta_max(0.0, SceneSegment(L2 / 2), ap, wave, n_points=64)
+    tm = theta_max(SceneSegment(L2 / 2), ap, wave, n_points=64)
     assert abs(tm) < 0.02
 
 
 def test_theta_max_tracks_the_heuristic():
     ap = Aperture.centered(L1, D)
     wave = WaveContext(LAM)
-    scene = SceneSegment(L2 / 2)
-    tm = theta_max(0.15, scene, ap, wave, n_points=128)
+    tm = theta_max(SceneSegment(L2 / 2, shift=0.15), ap, wave, n_points=128)
     assert tm == pytest.approx(THETA_MAX_T15, abs=1e-3)
     th = theta_heu(0.15, D)
     assert abs(tm - th) < 0.1
@@ -185,7 +184,7 @@ def test_theta_max_coarse_grid_matches_per_tilt_integrals(monkeypatch, t, h):
         return values
 
     monkeypatch.setattr(sbp, "_sbp_of_tilts", recording)
-    theta_max(t, SceneSegment(h), ap, wave)
+    theta_max(SceneSegment(h, shift=t), ap, wave)
     # the coarse grid's chunks, then one single-tilt call per golden-section step
     chunks = [(th, v) for th, v in calls if th.size > 1]
     assert [th.size for th, _ in chunks] == [16] * 11 + [5]
@@ -206,7 +205,7 @@ def test_theta_max_coarse_grid_memory_is_bounded():
     wave = WaveContext(LAM)
     tracemalloc.start()
     try:
-        theta_max(0.15, SceneSegment(0.05), ap, wave, n_points=512)
+        theta_max(SceneSegment(0.05, shift=0.15), ap, wave, n_points=512)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -219,5 +218,5 @@ def test_theta_max_skips_tilts_that_cross_the_aperture_plane():
     ap = Aperture.centered(L1, D)
     wave = WaveContext(LAM)
     for t in (0.0, 0.1, -0.2):
-        tm = theta_max(t, SceneSegment(0.225), ap, wave, n_points=64)
+        tm = theta_max(SceneSegment(0.225, shift=t), ap, wave, n_points=64)
         assert 0.225 * abs(math.sin(tm)) < D

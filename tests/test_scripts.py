@@ -11,15 +11,15 @@ ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
 
 
-@pytest.mark.parametrize(
-    "script,args,outputs",
-    [
-        ("run_geometry_cases.py", ["--n-elements", "16", "--n-scene", "40"],
-         ["geometry_cases.csv", "spectra_G1.svg"]),
-        ("run_fresnel_redundancy.py", ["--n-elements", "8"],
-         ["redundancy_vs_standoff.csv"]),
-    ],
-)
+CASES = [
+    ("run_geometry_cases.py", ["--n-elements", "16", "--n-scene", "40"],
+     ["geometry_cases.csv", "spectra_G1.svg"]),
+    ("run_fresnel_redundancy.py", ["--n-elements", "8"],
+     ["redundancy_vs_standoff.csv"]),
+]
+
+
+@pytest.mark.parametrize("script,args,outputs", CASES, ids=[case[0] for case in CASES])
 def test_script_runs(tmp_path, script, args, outputs):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(

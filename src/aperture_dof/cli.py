@@ -467,18 +467,20 @@ def cmd_kspace(cfg: ExperimentConfig, out: Path) -> list:
             f"mono/multi projected widths diverge at line angle {ang:.3f}",
         )
 
-    written = [
-        _write_csv(out / "kspace_mono.csv", ["kx", "kz"], *mono_pts.T),
-        _write_csv(out / "kspace_multi.csv", ["kx", "kz"], *multi_out.samples.T),
-    ]
     u_grid = np.linspace(-scene.half_length, scene.half_length, 101)
     pts = scene.points(u_grid)
     b = bandwidth(pts, scene, aperture, wave)
-    written.append(_write_csv(
-        out / "bandwidth.csv", ["u", "x", "z", "bandwidth", "reciprocal"],
-        u_grid, *pts.T, b, 1.0 / b,
-    ))
-    return written
+    # a scene far larger than the aperture's reach rounds B to 0 and 1/B to inf
+    bad = np.flatnonzero(~(b > 0.0))
+    if bad.size:
+        raise ValueError(f"bandwidth B = {b[bad[0]]:.9g} <= 0 at u = {u_grid[bad[0]]:.9g} m: "
+                         "the scene is too large for its reciprocal to be meaningful")
+    return [
+        _write_csv(out / "kspace_mono.csv", ["kx", "kz"], *mono_pts.T),
+        _write_csv(out / "kspace_multi.csv", ["kx", "kz"], *multi_out.samples.T),
+        _write_csv(out / "bandwidth.csv", ["u", "x", "z", "bandwidth", "reciprocal"],
+                   u_grid, *pts.T, b, 1.0 / b),
+    ]
 
 
 def cmd_fresnel(cfg: ExperimentConfig, out: Path) -> list:

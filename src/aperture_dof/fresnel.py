@@ -251,16 +251,16 @@ def fresnel_equivalence_check(
         merge_tol=tol,
     )
     points = scene.points(scene.midpoints(n_scene))
-    col_weights = np.full(n_scene, scene.length / n_scene)
+    du = scene.length / n_scene
     z_plane = array.aperture.z_plane
     factor = _one_way_phases(eff.positions, points, z_plane, 2.0 * wave.k, "fresnel")
     factor *= np.sqrt(eff.multiplicities * array.tx_weight * array.rx_weight)[:, None]
-    sig_eff = _spectrum((factor,), col_weights, vectors=False).singular_values
+    sig_eff = _spectrum((factor,), du, vectors=False).singular_values
     del factor  # freed before the pair side is built
 
     sigma_pair, discrepancy = {}, {}
     for kernel in ("fresnel", "exact"):
-        sig = _spectrum(_tx_rx_factors(array, points, z_plane, wave.k, kernel), col_weights,
+        sig = _spectrum(_tx_rx_factors(array, points, z_plane, wave.k, kernel), du,
                         vectors=False).singular_values
         n = max(sig.size, sig_eff.size)
         gap = np.pad(sig, (0, n - sig.size)) - np.pad(sig_eff, (0, n - sig_eff.size))

@@ -68,10 +68,6 @@ class Aperture:
         return self.a2 - self.a1
 
     @property
-    def center(self) -> float:
-        return 0.5 * (self.a1 + self.a2)
-
-    @property
     def z_plane(self) -> float:
         """z coordinate of the aperture line."""
         return -self.standoff

@@ -98,54 +98,48 @@ class ArrayLayout:
         pos = aperture.a1 + (np.arange(n) + 0.5) * pitch
         return cls(architecture, pos, pos.copy(), aperture, pitch, pitch)
 
-    @property
-    def n_measurements(self) -> int:
-        if self.architecture == MONOSTATIC:
-            return self.tx_positions.size
-        return self.tx_positions.size * self.rx_positions.size
-
 
 @dataclass(eq=False)
 class DiscreteOperator:
     """Weighted forward operator, held as its one-way phase factors, plus
     the grids and weights that produced it.
 
-    matrix[m, c] = xi(pair_m, p_c) * sqrt(row_weight * col_weights[c]),
+    matrix[m, c] = xi(pair_m, p_c) * sqrt(row_weight * col_weight),
     with |xi| = 1; every row carries the same weight, tx_weight for a
-    monostatic array and tx_weight * rx_weight for a multistatic one.  Rows
-    are measurement pairs (mono: (x_i, x_i); multi: row-major over
-    Tx x Rx), columns are scene samples at the midpoint grid scene_u.  The
-    matrix is the row-wise Khatri-Rao product of `factors` times
-    diag(sqrt(col_weights)): a monostatic operator has one factor, the
-    weighted round-trip phases (N, n); a multistatic one has the weighted
-    Tx and Rx phases (N_tx, n) and (N_rx, n), one shared array when the
-    layout's Tx and Rx coincide, so the N^2 x n product is never stored.
+    monostatic array and tx_weight * rx_weight for a multistatic one, and
+    every column the scene cell width col_weight.  Rows are measurement
+    pairs (mono: (x_i, x_i); multi: row-major over Tx x Rx), columns are
+    scene samples at the midpoint grid scene_u.  The matrix is the row-wise
+    Khatri-Rao product of `factors` times sqrt(col_weight): a monostatic
+    operator has one factor, the weighted round-trip phases (N, n); a
+    multistatic one has the weighted Tx and Rx phases (N_tx, n) and
+    (N_rx, n), one shared array when the layout's Tx and Rx coincide, so
+    the N^2 x n product is never stored.
     """
 
     factors: tuple
     row_weight: float
-    col_weights: np.ndarray
+    col_weight: float
     scene_u: np.ndarray
-    scene_points: np.ndarray
     array: ArrayLayout
     scene: SceneSegment
     wave: WaveContext
 
     @property
     def shape(self) -> tuple[int, int]:
-        return math.prod(f.shape[0] for f in self.factors), self.col_weights.size
+        return math.prod(f.shape[0] for f in self.factors), self.scene_u.size
 
     @property
     def matrix(self) -> np.ndarray:
         """The dense weighted matrix, materialized anew on every access (a
         multistatic N = 200, n = 400 operator is 244 MB); no analysis reads
         it, it is there to check small operators against."""
-        return _khatri_rao(self.factors, self.col_weights)
+        return _khatri_rao(self.factors, self.col_weight)
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
         """Weighted matrix times scene-side x, (n,) or (n, b), from the
         factors: a multistatic column is (T diag(sqrt(w) x)) R^T, row-major."""
-        cols = x.reshape(x.shape[0], -1) * np.sqrt(self.col_weights)[:, None]
+        cols = x.reshape(x.shape[0], -1) * math.sqrt(self.col_weight)
         if len(self.factors) == 1:
             out = self.factors[0] @ cols
         else:
@@ -169,13 +163,13 @@ class DiscreteOperator:
             # g(c, b) = sum_ij conj(t[i, c] r[j, c]) v[(i, j), b]
             g = (t.conj().T @ v.reshape(n_tx, -1)).reshape(n, n_rx, -1)
             out = np.einsum("cjb,cj->cb", g, r.conj().T)
-        out *= np.sqrt(self.col_weights)[:, None]
+        out *= math.sqrt(self.col_weight)
         return out.reshape((out.shape[0],) + data_w.shape[1:])
 
     def forward(self, gamma: np.ndarray) -> np.ndarray:
         """Physical measurement vector s for scene reflectivity samples."""
         gamma = np.asarray(gamma)
-        return self._apply(np.sqrt(self.col_weights) * gamma) / math.sqrt(self.row_weight)
+        return self._apply(math.sqrt(self.col_weight) * gamma) / math.sqrt(self.row_weight)
 
     def weight_data(self, data: np.ndarray) -> np.ndarray:
         """Physical measurement values -> weighted coordinates."""
@@ -264,28 +258,25 @@ def build_operator(
     return DiscreteOperator(
         factors=_weighted_factors(array, points, wave.k),
         row_weight=array.tx_weight if mono else array.tx_weight * array.rx_weight,
-        col_weights=np.full(n_scene, du),
+        col_weight=du,
         scene_u=scene_u,
-        scene_points=points,
         array=array,
         scene=scene,
         wave=wave,
     )
 
 
-def _khatri_rao(factors: tuple, col_weights: np.ndarray) -> np.ndarray:
-    """Row-wise Khatri-Rao product of the factors times diag(sqrt(col_weights))."""
+def _khatri_rao(factors: tuple, col_weight: float) -> np.ndarray:
+    """Row-wise Khatri-Rao product of the factors times sqrt(col_weight)."""
     if len(factors) == 1:
-        return factors[0] * np.sqrt(col_weights)
+        return factors[0] * math.sqrt(col_weight)
     t, r = factors
-    kr = (t[:, None, :] * r[None, :, :]).reshape(-1, col_weights.size)
-    kr *= np.sqrt(col_weights)
+    kr = (t[:, None, :] * r[None, :, :]).reshape(-1, t.shape[1])
+    kr *= math.sqrt(col_weight)
     return kr
 
 
-def _factored_gram(
-    tx_factor: np.ndarray, rx_factor: np.ndarray, col_weights: np.ndarray
-) -> np.ndarray:
+def _factored_gram(tx_factor: np.ndarray, rx_factor: np.ndarray, col_weight: float) -> np.ndarray:
     """Hermitian Gram of the Tx x Rx product rows: the elementwise product
     of the one-way Grams, so the N^2 rows never enter a matrix product; a
     shared Tx/Rx table has one one-way Gram, squared.
@@ -293,12 +284,14 @@ def _factored_gram(
     The products accumulate in the Tx Gram's array.  Only its lower triangle
     and the real part of its diagonal are meant to be read (eigh, eigvalsh,
     the trace); the upper triangle is what the matrix products left there.
+    The weight goes in as two multiplies by sqrt(col_weight), the rounding
+    of sqrt(w_i) sqrt(w_j), not one by col_weight.
     """
-    root_w = np.sqrt(col_weights)
+    root_w = math.sqrt(col_weight)
     gram = tx_factor.conj().T @ tx_factor
     gram *= gram if rx_factor is tx_factor else rx_factor.conj().T @ rx_factor
-    gram *= root_w[:, None]
-    gram *= root_w[None, :]
+    gram *= root_w
+    gram *= root_w
     return gram
 
 
@@ -342,22 +335,22 @@ def svd(op: DiscreteOperator, vectors: bool = True) -> SvdSpectrum:
     materializes its small matrix for a direct SVD.  With vectors=False only
     the singular values are computed and right_vectors is None.
     """
-    return _spectrum(op.factors, op.col_weights, vectors)
+    return _spectrum(op.factors, op.col_weight, vectors)
 
 
-def _spectrum(factors: tuple, col_weights: np.ndarray, vectors: bool) -> SvdSpectrum:
-    """svd on an operator's factors and column weights alone."""
-    shape = (math.prod(f.shape[0] for f in factors), col_weights.size)
+def _spectrum(factors: tuple, col_weight: float, vectors: bool) -> SvdSpectrum:
+    """svd on an operator's factors and column weight alone."""
+    shape = (math.prod(f.shape[0] for f in factors), factors[0].shape[1])
     try:
         if len(factors) == 2 and shape[0] > 4 * shape[1]:
-            gram = _factored_gram(*factors, col_weights)
+            gram = _factored_gram(*factors, col_weight)
             hs = float(np.trace(gram).real)
             evals, evecs = np.linalg.eigh(gram) if vectors else (np.linalg.eigvalsh(gram), None)
             # eigh's eigenvalues ascend; non-increasing order is the reversed view
             sigma = np.sqrt(np.clip(evals[::-1], 0.0, None))
             v = None if evecs is None else evecs[:, ::-1]
         else:
-            m = _khatri_rao(factors, col_weights)
+            m = _khatri_rao(factors, col_weight)
             hs = float(np.vdot(m, m).real)
             if vectors:
                 _, sigma, vh = np.linalg.svd(m, full_matrices=False)
@@ -419,7 +412,7 @@ def adjoint_to_points(
     For each column c of `coeffs` (weighted scene coordinates) computes
     g(q) = sum_m conj(xi(pair_m, q)) * sqrt(row_weight) * (A c)[m], the
     continuous adjoint image of the data A c sampled at `points`.  The data
-    are never formed: g = ((T_q^H T) o (R_q^H R)) diag(sqrt(w)) c, the
+    are never formed: g = ((T_q^H T) o (R_q^H R)) sqrt(w) c, the
     cross-Gram of the factors at the points (T_q, R_q) and on the grid
     (T, R); a monostatic operator has one factor, and a shared Tx/Rx table
     one matrix product, squared.  The points go through in blocks of
@@ -437,7 +430,7 @@ def adjoint_to_points(
     (m,) or (m, b) complex array
     """
     points = np.asarray(points, dtype=float)
-    root_w = np.sqrt(op.col_weights)
+    root_w = math.sqrt(op.col_weight)
     out = np.empty((points.shape[0],) + np.shape(coeffs)[1:], dtype=complex)
     for start in range(0, points.shape[0], _POINT_BLOCK):
         stop = start + _POINT_BLOCK

@@ -65,21 +65,26 @@ class ImageProfile:
 class ResolutionCurve:
     """3dB beamwidths per scatterer and method, with the 1/B benchmark.
 
-    widths[method][i] is NaN where flagged[method][i] is True (mainlobe
-    clipped at the scene edge).
+    widths[method][i] is NaN where the mainlobe is clipped at the scene
+    edge, and flagged marks those entries.  profiles[method] holds the
+    complex PSFs, (profile_coords.size, positions.size).
     """
 
     positions: np.ndarray
     widths: dict
-    flagged: dict
     reciprocal_bandwidth: np.ndarray
     grid_spacing: float
-    profiles: dict | None = None
-    profile_coords: np.ndarray | None = None
+    profiles: dict
+    profile_coords: np.ndarray
+
+    @property
+    def flagged(self) -> dict:
+        """{method: bool array}, True where the width is NaN."""
+        return {m: np.isnan(w) for m, w in self.widths.items()}
 
     def __post_init__(self):
         for method, w in self.widths.items():
-            valid = w[~self.flagged[method]]
+            valid = w[~np.isnan(w)]
             if np.any(valid <= 0.0):
                 raise ValueError(f"non-positive width in method {method!r}")
             if np.any(valid < self.grid_spacing * (1.0 - 1e-9)):
@@ -137,23 +142,23 @@ def reconstruct_pinv(
         Precomputed SVD of `op` to reuse across calls.
     """
     g_w = _pinv_filter(spectrum or svd(op), rank, _back_projection(op, data)[:, None])
-    return ImageProfile(coords=op.scene_u, values=g_w[:, 0] / np.sqrt(op.col_weights),
+    return ImageProfile(coords=op.scene_u, values=g_w[:, 0] / math.sqrt(op.col_weight),
                         method="pinv", rank=rank)
 
 
 def reconstruct_mf(op: DiscreteOperator, data: np.ndarray) -> ImageProfile:
     """Matched-filter (adjoint / back-propagation) image on the scene grid."""
     g_w = _back_projection(op, data)
-    return ImageProfile(coords=op.scene_u, values=g_w / np.sqrt(op.col_weights), method="mf")
+    return ImageProfile(coords=op.scene_u, values=g_w / math.sqrt(op.col_weight), method="mf")
 
 
 def _unit_scatterers(op: DiscreteOperator, indices) -> np.ndarray:
     """Scene-side coefficient columns (n_scene, len(indices)) of unit
     scatterers at scene grid samples: a delta of amplitude 1/col_weight,
     which is sqrt(col_weight) / col_weight in weighted coordinates."""
-    w = op.col_weights[indices]
+    w = op.col_weight
     coeffs = np.zeros((op.scene_u.size, len(indices)))
-    coeffs[indices, np.arange(len(indices))] = np.sqrt(w) / w
+    coeffs[indices, np.arange(len(indices))] = math.sqrt(w) / w
     return coeffs
 
 
@@ -161,7 +166,6 @@ def psf(
     scene_point_index: int,
     op: DiscreteOperator,
     method: str,
-    rank: int | None = None,
     oversample: int = 1,
     spectrum: SvdSpectrum | None = None,
 ) -> ImageProfile:
@@ -174,7 +178,7 @@ def psf(
     grid, which interpolates it and adds no information.  Both go through
     one routine (_images).
 
-    rank defaults to the -10 dB dof_knee of the spectrum (pinv only).
+    PINV keeps the -10 dB dof_knee of the spectrum.
     """
     if method not in ("pinv", "mf"):
         raise ValueError(f"unknown method {method!r}")
@@ -184,12 +188,10 @@ def psf(
     if not (0 <= scene_point_index < op.scene_u.size):
         raise ValueError(f"scene index {scene_point_index} outside grid of {op.scene_u.size}")
     sp = (spectrum or svd(op)) if method == "pinv" else None
-    if method == "pinv" and rank is None:
-        rank = dof_knee(sp)
+    rank = dof_knee(sp) if method == "pinv" else None
     coords, images = _images(
         op, sp, _unit_scatterers(op, [scene_point_index]), (method,), rank, oversample)
-    return ImageProfile(coords=coords, values=images[method][:, 0], method=method,
-                        rank=rank if method == "pinv" else None)
+    return ImageProfile(coords=coords, values=images[method][:, 0], method=method, rank=rank)
 
 
 def _images(op: DiscreteOperator, spectrum: SvdSpectrum | None, coeffs: np.ndarray,
@@ -261,7 +263,6 @@ def resolution_sweep(
     n_scene: int = 400,
     n_targets: int = 21,
     oversample: int = 4,
-    rank: int | None = None,
 ) -> ResolutionCurve:
     """PSF beamwidths across the scene with the 1/B benchmark.
 
@@ -271,9 +272,9 @@ def resolution_sweep(
     bandwidth of the array's aperture at the same points.  Edge-clipped
     mainlobes are flagged, not dropped.
 
-    PINV truncation uses `rank`, defaulting to the -10 dB knee.  The
-    complex fine-grid PSFs are returned on the curve (profiles[method] has
-    shape (n_fine, n_targets)).
+    PINV truncation keeps the -10 dB knee.  The complex fine-grid PSFs
+    are returned on the curve (profiles[method] has shape (n_fine,
+    n_targets)).
     """
     if not methods:
         raise ValueError("need at least one method")
@@ -283,12 +284,10 @@ def resolution_sweep(
 
     op = build_operator(scene, array, wave, n_scene)
     sp = svd(op)
-    if rank is None:
-        rank = dof_knee(sp)
+    rank = dof_knee(sp)
 
     u_targets = np.linspace(-scene.half_length, scene.half_length, n_targets + 2)[1:-1]
-    du = scene.length / n_scene
-    idx = np.round((u_targets - op.scene_u[0]) / du).astype(int)
+    idx = np.round((u_targets - op.scene_u[0]) / op.col_weight).astype(int)
     idx = np.clip(idx, 0, n_scene - 1)
     # idx is non-decreasing; np.unique would import numpy.ma
     idx = idx[np.concatenate(([True], np.diff(idx) > 0))]
@@ -298,10 +297,8 @@ def resolution_sweep(
     u_fine, profiles = _images(op, sp, _unit_scatterers(op, idx), methods, rank, oversample)
 
     widths = {}
-    flagged = {}
     for method in methods:
         w = np.full(idx.size, np.nan)
-        f = np.zeros(idx.size, dtype=bool)
         for j in range(idx.size):
             prof = ImageProfile(
                 coords=u_fine, values=profiles[method][:, j], method=method,
@@ -310,14 +307,12 @@ def resolution_sweep(
             try:
                 w[j] = beamwidth_3db(prof)
             except UnresolvableProfileError:
-                f[j] = True
+                pass  # the width stays NaN, which flags it
         widths[method] = w
-        flagged[method] = f
 
     return ResolutionCurve(
         positions=positions,
         widths=widths,
-        flagged=flagged,
         reciprocal_bandwidth=1.0 / bandwidth(scene.points(positions), scene, array.aperture, wave),
         grid_spacing=scene.length / (n_scene * oversample),
         profiles=profiles,

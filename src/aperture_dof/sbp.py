@@ -166,19 +166,21 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # (tilts, n_points) temporaries near a megabyte at the default 512 points.
 _TILT_CHUNK = 16
 
+# Width in radians at which theta_max's golden-section bracket stops.
+_TILT_TOL = 1e-4
+
 
 def theta_max(
     scene: SceneSegment,
     aperture: Aperture,
     wave: WaveContext,
     n_points: int = 512,
-    tol: float = 1e-4,
 ) -> float:
     """Tilt angle maximizing the numeric SBP of the scene: a segment of its
     half_length and shift, at any tilt (the scene's own tilt is not read).
 
     Coarse 181-point grid over [-pi/2, pi/2] followed by golden-section
-    refinement of the best bracket down to `tol` radians.  Ties prefer the
+    refinement of the best bracket down to _TILT_TOL radians.  Ties prefer the
     smaller |theta|.  Grid tilts that bring an end of the segment onto or
     behind the aperture plane are skipped; the rest form one interval
     around 0, and the bracket stays inside it.
@@ -207,7 +209,7 @@ def theta_max(
     x1 = hi - _GOLDEN * (hi - lo)
     x2 = lo + _GOLDEN * (hi - lo)
     f1, f2 = objective(x1), objective(x2)
-    while hi - lo > tol:
+    while hi - lo > _TILT_TOL:
         if f1 < f2:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + _GOLDEN * (hi - lo)

@@ -268,10 +268,10 @@ def test_criterion_10_reconstruction_exactness(report):
         sp = svd(op)
         g = random_gamma(rng, 30)
         direct = reconstruct_mf(op, op.forward(g)).values
-        g_w = np.sqrt(op.col_weights) * g
+        g_w = math.sqrt(op.col_weight) * g
         v = sp.right_vectors
         oracle = (v @ (sp.singular_values**2 * (v.conj().T @ g_w)))
-        oracle /= np.sqrt(op.col_weights)
+        oracle /= math.sqrt(op.col_weight)
         err_mf = max(err_mf, np.linalg.norm(direct - oracle) / np.linalg.norm(oracle))
     ok = err_pinv <= 1e-6 and err_mf <= 1e-8
     report(ok, f"criterion 10: full-rank PINV round trip {err_pinv:.2e} (<= 1e-6); "

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -328,6 +329,19 @@ def test_kspace_command(tmp_path, wave):
     assert all(v > 0 for v in b)
 
 
+def test_kspace_on_a_scene_beyond_the_bandwidth_exits_1_and_writes_nothing(tmp_path, capsys):
+    # finite lengths, but B rounds to 0 across the whole 1e300 m scene
+    path = tmp_path / "huge.cfg"
+    path.write_text("[geometry]\nL2 = 1e300\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["kspace", "--config", str(path), "--out", str(out)]) == 1
+    assert list(out.iterdir()) == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: bandwidth B = 0 <= 0 at u = -5e+299 m"), err
+
+
 def test_fresnel_command(tmp_path):
     cfg = write_config(tmp_path, NOMINAL)
     assert main(["fresnel", "--config", str(cfg)]) == 0
@@ -473,10 +487,10 @@ def test_multistatic_commands_never_materialize_the_operator(tmp_path, monkeypat
 
     true_khatri_rao = operator._khatri_rao
 
-    def dense(factors, col_weights):
+    def dense(factors, col_weight):
         if len(factors) == 2:
             raise AssertionError("the dense N^2 x n operator was materialized")
-        return true_khatri_rao(factors, col_weights)
+        return true_khatri_rao(factors, col_weight)
 
     monkeypatch.setattr(operator, "_khatri_rao", dense)
     cfg = _multistatic_gram_config(tmp_path)

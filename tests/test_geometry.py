@@ -27,7 +27,6 @@ def test_wave_context_rejects_nonpositive_wavelength(lam):
 def test_aperture_derived_quantities():
     ap = Aperture(-0.05, 0.10, 0.20)
     assert ap.length == pytest.approx(0.15)
-    assert ap.center == pytest.approx(0.025)
     assert ap.z_plane == -0.20
 
 

@@ -39,8 +39,9 @@ def test_uniform_layout_midpoint_grid():
         layout.tx_positions, [-0.075 + 0.0375 * (i + 0.5) for i in range(4)]
     )
     assert layout.tx_weight == pytest.approx(0.15 / 4)
-    assert layout.n_measurements == 4
-    assert ArrayLayout.uniform(ap, 4, MULTISTATIC).n_measurements == 16
+    scene, wave = SceneSegment(L2 / 2), WaveContext(LAM)
+    assert build_operator(scene, layout, wave, 4).shape == (4, 4)
+    assert build_operator(scene, ArrayLayout.uniform(ap, 4, MULTISTATIC), wave, 4).shape == (16, 4)
 
 
 def test_layout_validation():
@@ -59,17 +60,17 @@ def test_layout_validation():
 
 def test_operator_entries_have_quadrature_magnitude():
     op = small_operator(MONOSTATIC, n_elements=8, n_scene=12)
-    expected = math.sqrt(op.row_weight * op.col_weights[0])
+    expected = math.sqrt(op.row_weight * op.col_weight)
     np.testing.assert_allclose(np.abs(op.matrix), expected, rtol=1e-12)
 
 
 def test_operator_entry_phase_matches_round_trip_path():
     op = small_operator(MONOSTATIC, n_elements=8, n_scene=12)
     x = op.array.tx_positions[3]
-    p = op.scene_points[5]
+    p = op.scene.points(op.scene_u)[5]
     r = math.hypot(x - p[0], p[1] + D)
     expected = np.exp(-2j * op.wave.k * r) * math.sqrt(
-        op.row_weight * op.col_weights[5]
+        op.row_weight * op.col_weight
     )
     assert op.matrix[3, 5] == pytest.approx(expected, rel=1e-12)
 
@@ -79,12 +80,12 @@ def test_multistatic_rows_are_row_major_pairs():
     tx = op.array.tx_positions
     rx = op.array.rx_positions
     row = 1 * rx.size + 2  # pair (tx[1], rx[2])
-    p = op.scene_points[4]
+    p = op.scene.points(op.scene_u)[4]
     k = op.wave.k
     r_tx = math.hypot(tx[1] - p[0], p[1] + D)
     r_rx = math.hypot(rx[2] - p[0], p[1] + D)
     expected = np.exp(-1j * k * (r_tx + r_rx)) * math.sqrt(
-        op.row_weight * op.col_weights[4]
+        op.row_weight * op.col_weight
     )
     assert op.matrix[row, 4] == pytest.approx(expected, rel=1e-12)
 
@@ -94,9 +95,9 @@ def test_forward_matches_matrix_action():
     op = small_operator(MONOSTATIC, n_elements=10, n_scene=14)
     gamma = random_gamma(rng, 14)
     s = op.forward(gamma)
-    manual = (op.matrix @ (np.sqrt(op.col_weights) * gamma)) / np.sqrt(op.row_weight)
+    manual = (op.matrix @ (math.sqrt(op.col_weight) * gamma)) / np.sqrt(op.row_weight)
     np.testing.assert_allclose(s, manual, rtol=1e-12)
-    np.testing.assert_allclose(op.weight_data(s), op.matrix @ (np.sqrt(op.col_weights) * gamma), rtol=1e-12)
+    np.testing.assert_allclose(op.weight_data(s), op.matrix @ (math.sqrt(op.col_weight) * gamma), rtol=1e-12)
 
 
 def test_scene_behind_aperture_rejected():
@@ -208,22 +209,42 @@ def test_factored_gram_holds_the_gram_and_one_conjugated_factor():
     op = small_operator(MULTISTATIC, n_elements=200, n_scene=400)
     t, r = op.factors
     assert t is r
-    peak = _traced_peak(_factored_gram, t, r, op.col_weights)
+    peak = _traced_peak(_factored_gram, t, r, op.col_weight)
     assert peak <= 1.1 * (16 * 400 * 400 + t.nbytes)
+
+
+def _gram_operator(n_tx, n_rx, n_scene=48):
+    layout = ArrayLayout(MULTISTATIC, np.linspace(-0.07, 0.07, n_tx),
+                         np.linspace(-0.06, 0.07, n_rx), Aperture.centered(L1, D),
+                         L1 / n_tx, L1 / n_rx)
+    return build_operator(SceneSegment(L2 / 2.0), layout, WaveContext(LAM), n_scene)
 
 
 @pytest.mark.parametrize("n_tx,n_rx", [(24, 24), (9, 13)])
 def test_factored_gram_spectrum_reads_only_the_lower_triangle(n_tx, n_rx):
     # the Gram is returned without 0.5 (G + G^H): eigvalsh reads its lower
     # triangle, and the trace its real diagonal, so both are unchanged
-    aperture = Aperture.centered(L1, D)
-    layout = ArrayLayout(MULTISTATIC, np.linspace(-0.07, 0.07, n_tx),
-                         np.linspace(-0.06, 0.07, n_rx), aperture, L1 / n_tx, L1 / n_rx)
-    op = build_operator(SceneSegment(L2 / 2.0), layout, WaveContext(LAM), 48)
-    gram = _factored_gram(*op.factors, op.col_weights)
+    op = _gram_operator(n_tx, n_rx)
+    gram = _factored_gram(*op.factors, op.col_weight)
     symmetric = 0.5 * (gram + gram.conj().T)
     np.testing.assert_array_equal(np.linalg.eigvalsh(gram), np.linalg.eigvalsh(symmetric))
     assert np.trace(gram).real == np.trace(symmetric).real
+
+
+@pytest.mark.parametrize("n_tx,n_rx", [(24, 24), (9, 13)])
+def test_factored_gram_weights_by_two_square_root_multiplies(n_tx, n_rx):
+    # the scalar cell width goes in as a per-column weight vector would, as
+    # sqrt(w_i) on the rows and then sqrt(w_j) on the columns: the same
+    # bits, which one multiply by du would not give
+    n = 48
+    op = _gram_operator(n_tx, n_rx, n)
+    du = L2 / n
+    t, r = op.factors
+    root_w = np.sqrt(np.full(n, du))
+    expected = (t.conj().T @ t) * (r.conj().T @ r)
+    expected *= root_w[:, None]
+    expected *= root_w[None, :]
+    np.testing.assert_array_equal(_factored_gram(t, r, du), expected)
 
 
 def test_gram_route_keeps_the_argsort_column_order():
@@ -231,7 +252,7 @@ def test_gram_route_keeps_the_argsort_column_order():
     # singular values and vectors of a nominal multistatic operator are
     # those of the sorted decomposition, bit for bit
     op = small_operator(MULTISTATIC, n_elements=200, n_scene=400)
-    evals, evecs = np.linalg.eigh(_factored_gram(*op.factors, op.col_weights))
+    evals, evecs = np.linalg.eigh(_factored_gram(*op.factors, op.col_weight))
     order = np.argsort(evals)[::-1]
     spectrum = svd(op)
     np.testing.assert_array_equal(spectrum.singular_values,
@@ -276,13 +297,7 @@ def test_column_permutation_invariance(seed):
     rng = np.random.default_rng(seed)
     op = small_operator(MONOSTATIC, n_elements=10, n_scene=18)
     perm = rng.permutation(18)
-    shuffled = dataclasses.replace(
-        op,
-        factors=tuple(f[:, perm] for f in op.factors),
-        col_weights=op.col_weights[perm],
-        scene_u=op.scene_u,  # grid labels are not consulted by svd
-        scene_points=op.scene_points,
-    )
+    shuffled = dataclasses.replace(op, factors=tuple(f[:, perm] for f in op.factors))
     np.testing.assert_allclose(
         svd(shuffled).singular_values,
         svd(op).singular_values,
@@ -437,7 +452,7 @@ def test_adjoint_to_points_blocks_match_the_pair_kernel(layout, m):
     rng = np.random.default_rng(m)
     op = _BLOCK_LAYOUTS[layout]()
     pts = op.scene.points(np.linspace(-0.045, 0.045, m))
-    n = op.col_weights.size
+    n = op.scene_u.size
     coeffs = np.stack([random_gamma(rng, n) for _ in range(3)], axis=1)
     got = adjoint_to_points(op, coeffs, pts)
     assert got.shape == (m, 3)
@@ -474,7 +489,7 @@ def test_adjoint_to_points_evaluates_one_way_tables_per_block(layout, tables, mo
 
     monkeypatch.setattr("aperture_dof.operator._one_way_phases", counting)
     pts = op.scene.points(np.linspace(-0.045, 0.045, 2 * _POINT_BLOCK + 1))
-    coeffs = np.ones((op.col_weights.size, 2))
+    coeffs = np.ones((op.scene_u.size, 2))
     got = adjoint_to_points(op, coeffs, pts)
     blocks = [_POINT_BLOCK, _POINT_BLOCK, 1]
     assert calls == [b for b in blocks for _ in range(tables)]
@@ -507,6 +522,6 @@ def test_adjoint_to_points_on_grid_matches_matrix_adjoint():
     rng = np.random.default_rng(4)
     op = small_operator(MONOSTATIC, n_elements=12, n_scene=18)
     c = random_gamma(rng, 18)
-    got = adjoint_to_points(op, c, op.scene_points)
-    expected = (op.matrix.conj().T @ (op.matrix @ c)) / np.sqrt(op.col_weights)
+    got = adjoint_to_points(op, c, op.scene.points(op.scene_u))
+    expected = (op.matrix.conj().T @ (op.matrix @ c)) / math.sqrt(op.col_weight)
     np.testing.assert_allclose(got, expected, rtol=1e-10)

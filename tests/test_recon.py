@@ -49,8 +49,8 @@ def test_pinv_truncated_is_the_right_vector_projection():
     r = 12
     image = reconstruct_pinv(op, op.forward(gamma), rank=r, spectrum=sp)
     v_r = sp.right_vectors[:, :r]
-    gamma_w = np.sqrt(op.col_weights) * gamma
-    projected = v_r @ (v_r.conj().T @ gamma_w) / np.sqrt(op.col_weights)
+    gamma_w = math.sqrt(op.col_weight) * gamma
+    projected = v_r @ (v_r.conj().T @ gamma_w) / math.sqrt(op.col_weight)
     np.testing.assert_allclose(image.values, projected, atol=1e-9 * np.abs(gamma).max())
 
 
@@ -75,10 +75,10 @@ def test_mf_matches_svd_route():
         gamma = random_gamma(rng, 30)
         direct = reconstruct_mf(op, op.forward(gamma)).values
         # adjoint-normal route through the spectrum: V diag(sigma^2) V^H
-        gamma_w = np.sqrt(op.col_weights) * gamma
+        gamma_w = math.sqrt(op.col_weight) * gamma
         v = sp.right_vectors
         oracle_w = v @ (sp.singular_values**2 * (v.conj().T @ gamma_w))
-        oracle = oracle_w / np.sqrt(op.col_weights)
+        oracle = oracle_w / math.sqrt(op.col_weight)
         err = np.linalg.norm(direct - oracle) / np.linalg.norm(oracle)
         assert err < 1e-8
 
@@ -114,7 +114,7 @@ def test_psf_mf_equals_direct_reconstruction():
     op = small_operator(MONOSTATIC, n_elements=20, n_scene=24)
     profile = psf(10, op, "mf")
     gamma = np.zeros(24, dtype=complex)
-    gamma[10] = 1.0 / op.col_weights[10]
+    gamma[10] = 1.0 / op.col_weight
     direct = reconstruct_mf(op, op.forward(gamma))
     np.testing.assert_allclose(profile.values, direct.values, rtol=1e-12)
 
@@ -283,20 +283,19 @@ def test_resolution_sweep_rejects_unknown_or_no_methods():
 
 def test_resolution_curve_validation():
     base = dict(
-        positions=np.array([0.0]),
-        reciprocal_bandwidth=np.array([1.0]),
+        positions=np.array([0.0, 0.01]),
+        reciprocal_bandwidth=np.array([1.0, 1.0]),
         grid_spacing=0.01,
+        profiles={"mf": np.ones((3, 2))},
+        profile_coords=np.array([-0.01, 0.0, 0.01]),
     )
     with pytest.raises(ValueError):
-        ResolutionCurve(
-            widths={"mf": np.array([-1.0])}, flagged={"mf": np.array([False])}, **base
-        )
+        ResolutionCurve(widths={"mf": np.array([-1.0, 0.02])}, **base)
     with pytest.raises(ValueError):
         # a width below the sampling limit cannot be trusted
-        ResolutionCurve(
-            widths={"mf": np.array([0.001])}, flagged={"mf": np.array([False])}, **base
-        )
-    # flagged entries are exempt
-    ResolutionCurve(
-        widths={"mf": np.array([np.nan])}, flagged={"mf": np.array([True])}, **base
-    )
+        ResolutionCurve(widths={"mf": np.array([0.02, 0.001])}, **base)
+    # flagged (NaN) entries are exempt, and flagged is read off the widths
+    widths = {"mf": np.array([np.nan, 0.02])}
+    curve = ResolutionCurve(widths=widths, **base)
+    np.testing.assert_array_equal(curve.flagged["mf"], np.isnan(widths["mf"]))
+    assert curve.flagged["mf"].dtype == bool

@@ -10,8 +10,7 @@ import argparse
 import math
 from pathlib import Path
 
-import numpy as np
-
+# aperture_dof before numpy: it sets the BLAS thread env vars numpy reads on load
 from aperture_dof import (
     MONOSTATIC,
     MULTISTATIC,
@@ -27,6 +26,8 @@ from aperture_dof import (
     svd,
 )
 from aperture_dof._svg import plot_lines
+
+import numpy as np
 
 LAM, L1, L2, D = 0.005, 0.15, 0.10, 0.20
 

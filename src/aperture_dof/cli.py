@@ -13,6 +13,7 @@ import argparse
 import configparser
 import json
 import math
+import random
 import re
 import sys
 from dataclasses import dataclass, field, replace
@@ -455,10 +456,11 @@ def cmd_kspace(cfg: ExperimentConfig, out: Path) -> list:
     # the written multi grid is decimated; checks below use the full density
     multi_out = multi_spectrum(point, aperture, wave, min(n, 96))
 
-    rng = np.random.default_rng(cfg.seed)
+    # stdlib random, loaded at start-up, spares the numpy.random import
+    rng = random.Random(cfg.seed)
     multi_full = multi_spectrum(point, aperture, wave, n)
     angles = [scene_projection_angle(scene), 0.0]
-    angles.extend(rng.uniform(-0.5 * math.pi, 0.5 * math.pi, 3))
+    angles.extend(rng.uniform(-0.5 * math.pi, 0.5 * math.pi) for _ in range(3))
     for ang in angles:
         lo_m, hi_m = project_points_onto_line(mono_pts, ang)
         lo_x, hi_x = project_points_onto_line(multi_full.samples, ang)

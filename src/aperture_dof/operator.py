@@ -13,16 +13,23 @@ multistatic array yields the full Tx x Rx product, N^2 rows for N = 200.
 That product is a row-wise Khatri-Rao product of two N x n one-way phase
 factors, and the operator holds only the factors: singular values come
 from the eigen-decomposition of the n_scene x n_scene Gram matrix, an
-elementwise product of two one-way Grams, and images from cross-Grams of
-the factors at the image points and on the grid, streamed over blocks of
-image points so that no array spans both all the points and the elements.
+elementwise product of two one-way Grams, and multistatic images from
+cross-Grams of the factors at the image points and on the grid, streamed
+over blocks of image points so that no array spans both all the points
+and the elements.  A monostatic image is formed on the data side instead:
+the N x b data once, then the conjugated factor at each block of points.
 When a layout's Tx and Rx positions and weights coincide (every uniform
 layout) the two factors are one shared table, and each Gram is one matrix
-product squared elementwise.  Every kernel writes into the array it
-returns: phase tables are exponentiated in place, and the Gram is weighted
-in the array of its first matrix product and never symmetrized, because
-the eigensolvers read only its lower triangle and the norm only its
-diagonal, so its upper triangle is never read.
+product squared elementwise.  Analyses that keep only the leading
+singular triplets (resolution's PINV keeps the -10 dB knee, about 30 of
+400) take them by a Rayleigh-Ritz step on a sample of the Gram's range
+(svd(op, leading=True)) rather than a full eigendecomposition.  Every
+kernel writes into the array it returns: phase tables are exponentiated in
+place, and the Gram is weighted in the array of its first matrix product
+and never symmetrized, because the eigensolvers read only its lower
+triangle and the norm only its diagonal; only the Rayleigh-Ritz products
+read the upper triangle, which the matrix products fill with the same
+values up to rounding.
 """
 
 from __future__ import annotations
@@ -41,6 +48,12 @@ MULTISTATIC = "multistatic"
 # efficient matrix products, small enough that a block's factors and
 # cross-Gram stay a few MiB at N = 1000, n_scene = 400
 _POINT_BLOCK = 256
+
+# Rayleigh-Ritz in svd(op, leading=True): the first sample size, and the
+# floor that the smallest Ritz value, relative to the largest, must reach
+# before the sample is taken to hold every triplet above it
+_RITZ_START = 64
+_RITZ_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -281,9 +294,10 @@ def _factored_gram(tx_factor: np.ndarray, rx_factor: np.ndarray, col_weight: flo
     of the one-way Grams, so the N^2 rows never enter a matrix product; a
     shared Tx/Rx table has one one-way Gram, squared.
 
-    The products accumulate in the Tx Gram's array.  Only its lower triangle
-    and the real part of its diagonal are meant to be read (eigh, eigvalsh,
-    the trace); the upper triangle is what the matrix products left there.
+    The products accumulate in the Tx Gram's array.  eigh, eigvalsh and the
+    trace read only its lower triangle and the real part of its diagonal;
+    the upper triangle, which the Rayleigh-Ritz products also read, is what
+    the matrix products left there, the conjugate entries up to rounding.
     The weight goes in as two multiplies by sqrt(col_weight), the rounding
     of sqrt(w_i) sqrt(w_j), not one by col_weight.
     """
@@ -301,8 +315,12 @@ class SvdSpectrum:
 
     right_vectors holds the scene-side vectors in weighted coordinates as
     columns; measurement-side vectors are reconstructed on demand (see
-    left_vectors).  hs_norm_sq is the squared Frobenius norm of the weighted
-    matrix, against which the sum rule sum(sigma^2) is validated.
+    left_vectors).  A full spectrum holds min(rows, cols) values, a leading
+    one (svd(op, leading=True)) k <= min(rows, cols), down to the
+    Rayleigh-Ritz floor.  hs_norm_sq is in both the squared Frobenius norm of
+    the whole weighted matrix, against which the sum rule sum(sigma^2) is
+    validated; a leading spectrum's tail below the floor is far inside the
+    rule's tolerance.
     """
 
     singular_values: np.ndarray
@@ -325,7 +343,7 @@ class SvdSpectrum:
                 raise ValueError(f"sum rule violated: relative error {rel:.3e}")
 
 
-def svd(op: DiscreteOperator, vectors: bool = True) -> SvdSpectrum:
+def svd(op: DiscreteOperator, vectors: bool = True, *, leading: bool = False) -> SvdSpectrum:
     """Singular-value decomposition of the weighted operator.
 
     Multistatic operators with many more rows than columns go through the
@@ -334,21 +352,35 @@ def svd(op: DiscreteOperator, vectors: bool = True) -> SvdSpectrum:
     whose trace is the squared Frobenius norm; every other operator
     materializes its small matrix for a direct SVD.  With vectors=False only
     the singular values are computed and right_vectors is None.
+
+    leading=True returns only the leading triplets, for analyses that keep
+    a knee far above the floor, from the column Gram of any operator by
+    Rayleigh-Ritz (_leading_eigh): k values, down to one at most
+    _RITZ_FLOOR times the largest, or all of them when the Gram has no
+    such floor; hs_norm_sq is still the Gram's trace, the full norm.
     """
-    return _spectrum(op.factors, op.col_weight, vectors)
+    return _spectrum(op.factors, op.col_weight, vectors, leading)
 
 
-def _spectrum(factors: tuple, col_weight: float, vectors: bool) -> SvdSpectrum:
+def _spectrum(factors: tuple, col_weight: float, vectors: bool,
+              leading: bool = False) -> SvdSpectrum:
     """svd on an operator's factors and column weight alone."""
     shape = (math.prod(f.shape[0] for f in factors), factors[0].shape[1])
     try:
-        if len(factors) == 2 and shape[0] > 4 * shape[1]:
-            gram = _factored_gram(*factors, col_weight)
+        if leading or (len(factors) == 2 and shape[0] > 4 * shape[1]):
+            if len(factors) == 2:
+                gram = _factored_gram(*factors, col_weight)
+            else:
+                gram = factors[0].conj().T @ factors[0]
+                gram *= col_weight
             hs = float(np.trace(gram).real)
-            evals, evecs = np.linalg.eigh(gram) if vectors else (np.linalg.eigvalsh(gram), None)
+            if leading:
+                evals, evecs = _leading_eigh(gram, min(shape))
+            else:
+                evals, evecs = np.linalg.eigh(gram) if vectors else (np.linalg.eigvalsh(gram), None)
             # eigh's eigenvalues ascend; non-increasing order is the reversed view
             sigma = np.sqrt(np.clip(evals[::-1], 0.0, None))
-            v = None if evecs is None else evecs[:, ::-1]
+            v = None if evecs is None or not vectors else evecs[:, ::-1]
         else:
             m = _khatri_rao(factors, col_weight)
             hs = float(np.vdot(m, m).real)
@@ -360,6 +392,35 @@ def _spectrum(factors: tuple, col_weight: float, vectors: bool) -> SvdSpectrum:
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"SVD of {shape} operator failed: {exc}") from exc
     return SvdSpectrum(singular_values=sigma, right_vectors=v, hs_norm_sq=hs)
+
+
+def _leading_eigh(gram: np.ndarray, rank: int) -> tuple:
+    """Ascending eigenvalues and eigenvectors of the Hermitian Gram (n, n)
+    down to a floor, by Rayleigh-Ritz on a sample of its range, at most the
+    `rank` = min(rows, cols) largest: the operator has no more singular
+    values, and the Gram's eigenvalues past them are rounding.
+
+    Q spans k evenly spaced Gram columns after one power step (QR, times
+    the Gram, QR again), and the eigenpairs of Q^H G Q, rotated back by Q,
+    are the Ritz pairs.  Once the smallest Ritz value is at most
+    _RITZ_FLOOR times the largest, the sample holds every eigenpair above
+    the floor to rounding, as for a Gram whose spectrum falls off past its
+    space-bandwidth product; until then k doubles from _RITZ_START, and at
+    k = n the whole Gram is decomposed.
+    """
+    n = gram.shape[0]
+    k = min(n, _RITZ_START)
+    while k < n:
+        q = np.linalg.qr(gram[:, np.arange(k) * n // k])[0]
+        q = np.linalg.qr(gram @ q)[0]
+        evals, w = np.linalg.eigh(q.conj().T @ (gram @ q))
+        if evals[0] <= _RITZ_FLOOR * evals[-1]:
+            w = q @ w
+            break
+        k = min(2 * k, n)
+    else:
+        evals, w = np.linalg.eigh(gram)
+    return evals[-rank:], w[:, -rank:]
 
 
 def left_vectors(op: DiscreteOperator, spectrum: SvdSpectrum, count: int) -> np.ndarray:
@@ -411,14 +472,15 @@ def adjoint_to_points(
 
     For each column c of `coeffs` (weighted scene coordinates) computes
     g(q) = sum_m conj(xi(pair_m, q)) * sqrt(row_weight) * (A c)[m], the
-    continuous adjoint image of the data A c sampled at `points`.  The data
-    are never formed: g = ((T_q^H T) o (R_q^H R)) sqrt(w) c, the
-    cross-Gram of the factors at the points (T_q, R_q) and on the grid
-    (T, R); a monostatic operator has one factor, and a shared Tx/Rx table
-    one matrix product, squared.  The points go through in blocks of
-    _POINT_BLOCK, each with its own factors and cross-Gram, so memory grows
-    with the block and the (m, b) result, not with m times the element or
-    scene count.
+    continuous adjoint image of the data A c sampled at `points`.  A
+    monostatic operator has one factor F, whose N x b data F sqrt(w) c are
+    formed once and imaged by F_q^H at each block of points.  Multistatic
+    data, N^2 x b, are never formed: g = ((T_q^H T) o (R_q^H R)) sqrt(w) c,
+    the cross-Gram of the factors at the points (T_q, R_q) and on the grid
+    (T, R), where a shared Tx/Rx table takes one matrix product, squared.
+    The points go through in blocks of _POINT_BLOCK, each with its own
+    factors, so memory grows with the block and the (m, b) result, not with
+    m times the element or scene count.
 
     Parameters
     ----------
@@ -432,14 +494,19 @@ def adjoint_to_points(
     points = np.asarray(points, dtype=float)
     root_w = math.sqrt(op.col_weight)
     out = np.empty((points.shape[0],) + np.shape(coeffs)[1:], dtype=complex)
+    mono = len(op.factors) == 1
+    if mono:
+        data = op.factors[0] @ (root_w * coeffs)
     for start in range(0, points.shape[0], _POINT_BLOCK):
         stop = start + _POINT_BLOCK
         at_points = _weighted_factors(op.array, points[start:stop], op.wave.k)
+        if mono:
+            out[start:stop] = at_points[0].conj().T @ data
+            continue
         gram = at_points[0].conj().T @ op.factors[0]
         cross = root_w * gram
-        if len(op.factors) == 2:
-            if at_points[1] is not at_points[0] or op.factors[1] is not op.factors[0]:
-                gram = at_points[1].conj().T @ op.factors[1]
-            cross *= gram
+        if at_points[1] is not at_points[0] or op.factors[1] is not op.factors[0]:
+            gram = at_points[1].conj().T @ op.factors[1]
+        cross *= gram
         out[start:stop] = cross @ coeffs
     return out

@@ -6,11 +6,13 @@ vectors, and the matched filter / back-propagation adjoint (MF), which
 weights the same projections by sigma^2.  Both start from one
 back-projection: of arbitrary data through DiscreteOperator.adjoint, on
 the operator's grid, and of point scatterers through one routine, _images,
-on the grid (oversample = 1) or a finer one, which streams the factors'
-cross-Gram over blocks of image points; PINV then applies the same
-V_r Sigma_r^-2 V_r^H filter.  Resolution is measured as
-the 3dB mainlobe width of point-scatterer PSFs and benchmarked against the
-reciprocal bandwidth 1/B.
+on the grid (oversample = 1) or a finer one, which streams blocks of image
+points through adjoint_to_points (monostatic images from the small data,
+multistatic ones from the factors' cross-Gram); PINV then applies the same
+V_r Sigma_r^-2 V_r^H filter.  PSFs keep the -10 dB knee, so they take only
+the leading singular triplets, by Rayleigh-Ritz (svd(op, leading=True)).
+Resolution is measured as the 3dB mainlobe width of point-scatterer PSFs
+and benchmarked against the reciprocal bandwidth 1/B.
 """
 
 from __future__ import annotations
@@ -178,7 +180,8 @@ def psf(
     grid, which interpolates it and adds no information.  Both go through
     one routine (_images).
 
-    PINV keeps the -10 dB dof_knee of the spectrum.
+    PINV keeps the -10 dB dof_knee of the spectrum, by default the leading
+    spectrum svd(op, leading=True).
     """
     if method not in ("pinv", "mf"):
         raise ValueError(f"unknown method {method!r}")
@@ -187,7 +190,7 @@ def psf(
     # an explicit check: a negative index would wrap around in the delta
     if not (0 <= scene_point_index < op.scene_u.size):
         raise ValueError(f"scene index {scene_point_index} outside grid of {op.scene_u.size}")
-    sp = (spectrum or svd(op)) if method == "pinv" else None
+    sp = (spectrum or svd(op, leading=True)) if method == "pinv" else None
     rank = dof_knee(sp) if method == "pinv" else None
     coords, images = _images(
         op, sp, _unit_scatterers(op, [scene_point_index]), (method,), rank, oversample)
@@ -204,8 +207,8 @@ def _images(op: DiscreteOperator, spectrum: SvdSpectrum | None, coeffs: np.ndarr
     oversample = 1 is the operator's own grid scene_u, bit for bit.  MF
     images are adjoints of the data A c; PINV images are adjoints of
     A V_r Sigma_r^-2 V_r^H c.  Every column goes through one
-    adjoint_to_points call, which streams the cross-Gram over blocks of
-    grid points, and the N^2-row data are never formed.
+    adjoint_to_points call, which streams blocks of grid points, and the
+    N^2-row multistatic data are never formed.
     """
     u_fine = op.scene.midpoints(op.scene_u.size * oversample)
     columns = {}
@@ -272,7 +275,8 @@ def resolution_sweep(
     bandwidth of the array's aperture at the same points.  Edge-clipped
     mainlobes are flagged, not dropped.
 
-    PINV truncation keeps the -10 dB knee.  The complex fine-grid PSFs
+    PINV truncation keeps the -10 dB knee of the leading spectrum
+    (svd(op, leading=True)).  The complex fine-grid PSFs
     are returned on the curve (profiles[method] has shape (n_fine,
     n_targets)).
     """
@@ -283,7 +287,7 @@ def resolution_sweep(
             raise ValueError(f"unknown method {m!r}")
 
     op = build_operator(scene, array, wave, n_scene)
-    sp = svd(op)
+    sp = svd(op, leading=True)
     rank = dof_knee(sp)
 
     u_targets = np.linspace(-scene.half_length, scene.half_length, n_targets + 2)[1:-1]

@@ -1,6 +1,4 @@
-import numpy as np
-import pytest
-
+# aperture_dof before numpy: its BLAS thread settings apply only if it loads first
 from aperture_dof import (
     Aperture,
     ArrayLayout,
@@ -8,6 +6,9 @@ from aperture_dof import (
     WaveContext,
     build_operator,
 )
+
+import numpy as np
+import pytest
 
 # nominal configuration used across the suite: 5 mm wavelength, 15 cm
 # aperture, 10 cm scene, 20 cm standoff

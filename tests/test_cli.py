@@ -329,6 +329,28 @@ def test_kspace_command(tmp_path, wave):
     assert all(v > 0 for v in b)
 
 
+def test_kspace_check_angles_follow_the_seed(tmp_path, monkeypatch):
+    import aperture_dof.cli as cli
+
+    angles, true_project = [], cli.project_points_onto_line
+
+    def recording(samples, angle):
+        angles.append(angle)
+        return true_project(samples, angle)
+
+    monkeypatch.setattr(cli, "project_points_onto_line", recording)
+    drawn = {}
+    for seed in (0, 1, 0):
+        angles.clear()
+        cfg = write_config(tmp_path, NOMINAL + f"seed = {seed}\n", name=f"seed{seed}.cfg")
+        assert main(["kspace", "--config", str(cfg)]) == 0
+        # mono and multi project on each of 5 angles, the last 3 drawn
+        assert len(angles) == 10
+        drawn.setdefault(seed, []).append(angles[4::2])
+    assert drawn[0][0] == drawn[0][1]
+    assert drawn[0][0] != drawn[1][0]
+
+
 def test_kspace_on_a_scene_beyond_the_bandwidth_exits_1_and_writes_nothing(tmp_path, capsys):
     # finite lengths, but B rounds to 0 across the whole 1e300 m scene
     path = tmp_path / "huge.cfg"
@@ -536,12 +558,12 @@ def test_norm_check_catches_a_dropped_rx_weight(tmp_path, monkeypatch, capsys):
     assert "norm deviates" in capsys.readouterr().err
 
 
-def test_resolution_does_not_import_numpy_ma(tmp_path):
-    # np.unique imports numpy.ma, tens of ms of start-up per process
+def _assert_runs_without(module, command, config, out):
+    """Runs the command in a fresh interpreter and asserts that it never
+    imported `module`."""
     import os
     import subprocess
     import sys
-    from pathlib import Path
 
     root = Path(__file__).resolve().parent.parent
     path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
@@ -549,15 +571,25 @@ def test_resolution_does_not_import_numpy_ma(tmp_path):
         "import sys\n"
         "from aperture_dof.cli import main\n"
         "assert main(sys.argv[1:]) == 0\n"
-        "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
+        f"assert {module!r} not in sys.modules, '{module} was imported'\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code, "resolution",
-         "--config", str(root / "configs" / "resolution_g1.cfg"), "--out", str(tmp_path)],
+        [sys.executable, "-c", code, command,
+         "--config", str(root / "configs" / config), "--out", str(out)],
         capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_resolution_does_not_import_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma, tens of ms of start-up per process
+    _assert_runs_without("numpy.ma", "resolution", "resolution_g1.cfg", tmp_path)
+
+
+def test_kspace_does_not_import_numpy_random(tmp_path):
+    # numpy.random, about 16 ms of start-up, only to draw three check angles
+    _assert_runs_without("numpy.random", "kspace", "nominal.cfg", tmp_path)
 
 
 def test_unknown_command_rejected():

@@ -24,6 +24,8 @@ from aperture_dof import (
 )
 from aperture_dof.operator import (
     _POINT_BLOCK,
+    _RITZ_FLOOR,
+    _RITZ_START,
     _factored_gram,
     _one_way_phases,
     adjoint_to_points,
@@ -525,3 +527,90 @@ def test_adjoint_to_points_on_grid_matches_matrix_adjoint():
     got = adjoint_to_points(op, c, op.scene.points(op.scene_u))
     expected = (op.matrix.conj().T @ (op.matrix @ c)) / math.sqrt(op.col_weight)
     np.testing.assert_allclose(got, expected, rtol=1e-10)
+
+
+def _column_gram(op):
+    """The weighted operator's Hermitian column Gram: from the dense matrix
+    for one factor, from the lower triangle of the factored Gram for two."""
+    if len(op.factors) == 1:
+        m = op.matrix
+        return m.conj().T @ m
+    g = _factored_gram(*op.factors, op.col_weight)
+    return np.tril(g) + np.tril(g, -1).conj().T
+
+
+def _assert_leading_matches_full(op, lead):
+    """The leading spectrum agrees with svd(op) up to its -10 dB knee: the
+    values, the projector on the kept vectors, and the Gram residual."""
+    full = svd(op)
+    r = dof_knee(full)
+    assert dof_knee(lead) == r
+    s, s1 = lead.singular_values, full.singular_values[0]
+    assert r <= s.size <= min(op.shape)
+    assert lead.right_vectors.shape == (op.shape[1], s.size)
+    assert lead.hs_norm_sq == pytest.approx(full.hs_norm_sq, rel=1e-13)
+    np.testing.assert_allclose(s[:r], full.singular_values[:r], rtol=0, atol=1e-13 * s1)
+    v, v_full = lead.right_vectors[:, :r], full.right_vectors[:, :r]
+    np.testing.assert_allclose(v @ v.conj().T, v_full @ v_full.conj().T, rtol=0, atol=1e-13)
+    lam = s[:r] ** 2
+    assert np.linalg.norm(_column_gram(op) @ v - v * lam, 2) <= 1e-13 * lam[0]
+
+
+_LEADING_LAYOUTS = {
+    **_BLOCK_LAYOUTS,
+    # the nominal configuration at its shipped size, knees 30 and 27
+    "mono_nominal": lambda: small_operator(MONOSTATIC, n_elements=200, n_scene=400),
+    "multi_nominal": lambda: small_operator(MULTISTATIC, n_elements=200, n_scene=400),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(_LEADING_LAYOUTS))
+def test_leading_svd_matches_the_full_spectrum_to_the_knee(layout):
+    op = _LEADING_LAYOUTS[layout]()
+    _assert_leading_matches_full(op, svd(op, leading=True))
+
+
+def _ritz_sizes(monkeypatch):
+    """Records the size of every matrix np.linalg.eigh decomposes."""
+    sizes, true_eigh = [], np.linalg.eigh
+
+    def recording(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return true_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    return sizes
+
+
+@pytest.mark.parametrize("start,half_length,expected", [
+    # nominal mono, knee 30: 32 Ritz values stop at 1.2e-3 of the largest
+    (32, L2 / 2.0, [32, 64]),
+    # a 25 cm scene, knee 64: the first sample reaches only 4e-2
+    (_RITZ_START, 0.125, [64, 128]),
+])
+def test_leading_svd_doubles_the_sample_until_the_floor(start, half_length, expected, monkeypatch):
+    monkeypatch.setattr("aperture_dof.operator._RITZ_START", start)
+    layout = ArrayLayout.uniform(Aperture.centered(L1, D), 200, MONOSTATIC)
+    op = build_operator(SceneSegment(half_length), layout, WaveContext(LAM), 400)
+    sizes = _ritz_sizes(monkeypatch)
+    lead = svd(op, leading=True)
+    assert sizes == expected
+    s = lead.singular_values
+    assert s.size == expected[-1]
+    assert s[-1] ** 2 <= _RITZ_FLOOR * s[0] ** 2
+    monkeypatch.undo()
+    _assert_leading_matches_full(op, lead)
+
+
+def test_leading_svd_of_an_undersampled_scene_decomposes_the_whole_gram(monkeypatch):
+    # 80 samples on a 40 cm scene (knee 73): the Gram has no floor, so the
+    # sample grows to all 80 columns and the whole Gram is decomposed
+    layout = ArrayLayout.uniform(Aperture.centered(L1, D), 200, MONOSTATIC)
+    op = build_operator(SceneSegment(0.2), layout, WaveContext(LAM), 80)
+    sizes = _ritz_sizes(monkeypatch)
+    lead = svd(op, leading=True)
+    assert sizes == [_RITZ_START, 80]
+    s = lead.singular_values
+    assert s.size == 80 and s[-1] ** 2 > _RITZ_FLOOR * s[0] ** 2
+    monkeypatch.undo()
+    _assert_leading_matches_full(op, lead)

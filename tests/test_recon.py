@@ -257,6 +257,24 @@ def test_oversampled_psf_is_one_column_of_the_sweep(architecture):
                 profile.values, curve.profiles[method][:, j], rtol=1e-12)
 
 
+@pytest.mark.parametrize("architecture", [MONOSTATIC, MULTISTATIC])
+def test_pinv_psfs_take_only_the_leading_triplets(architecture, monkeypatch):
+    # the nominal configuration: the direct SVD (mono) or n x n eigh (multi)
+    # of svd(op) would decompose the whole spectrum for a knee of about 30
+    layout = ArrayLayout.uniform(Aperture.centered(L1, D), 200, architecture)
+    scene, wave, n = SceneSegment(L2 / 2), WaveContext(LAM), 400
+    op = build_operator(scene, layout, wave, n)
+    calls = []
+    for name in ("eigh", "eigvalsh", "svd"):
+        def counting(a, *args, _name=name, _true=getattr(np.linalg, name), **kwargs):
+            calls.append((_name, a.shape))
+            return _true(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counting)
+    resolution_sweep(scene, wave, layout, n_scene=n, n_targets=3, oversample=2)
+    psf(n // 2, op, "pinv")
+    assert calls and all(name == "eigh" and shape[0] < n for name, shape in calls), calls
+
+
 def test_multistatic_analysis_memory_does_not_scale_as_n_squared_times_n():
     # the dense 300^2 x 400 complex operator alone would be 549 MiB
     ap = Aperture.centered(L1, D)

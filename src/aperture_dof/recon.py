@@ -285,6 +285,10 @@ def resolution_sweep(
     for m in methods:
         if m not in ("pinv", "mf"):
             raise ValueError(f"unknown method {m!r}")
+    if n_targets < 1:
+        raise ValueError("n_targets must be >= 1")
+    if oversample < 1:
+        raise ValueError("oversample must be >= 1")
 
     op = build_operator(scene, array, wave, n_scene)
     sp = svd(op, leading=True)

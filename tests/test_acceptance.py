@@ -8,6 +8,7 @@ the Fresnel effective-aperture identities, and reconstruction exactness.
 
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,32 +38,37 @@ from aperture_dof import (
     sigma_bar_sq,
     svd,
 )
+from aperture_dof.cli import ExperimentConfig
 
 from conftest import LAM, L1, L2, D, small_operator, random_gamma
 
 N_ELEMENTS = 200
 N_SCENE = 400
 
-# published sigma_bar_sq values (mono, multi) per geometry case
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# per geometry case: the shipped config that runs it as `aperture-dof svd`,
+# its geometry, and the published sigma_bar_sq values (mono, multi)
 CASES = {
-    "G1": (SceneSegment(L2 / 2), D, (22.88, 14.63)),
-    "G2": (SceneSegment(L2 / 2, 0.0, 0.15), D, (9.05, 7.69)),
-    "G3": (SceneSegment(L2 / 2, math.radians(35.0)), D, (14.24, 11.14)),
-    "G4": (SceneSegment(L2 / 2, math.radians(55.0), 0.20), D, (10.62, 8.0)),
-    "G1-D10": (SceneSegment(L2 / 2), 0.10, (23.6, 24.08)),
+    "G1": ("nominal.cfg", SceneSegment(L2 / 2), D, (22.88, 14.63)),
+    "G2": ("g2_t15.cfg", SceneSegment(L2 / 2, 0.0, 0.15), D, (9.05, 7.69)),
+    "G3": ("g3_35deg.cfg", SceneSegment(L2 / 2, math.radians(35.0)), D, (14.24, 11.14)),
+    "G4": ("shifted_scene.cfg", SceneSegment(L2 / 2, math.radians(55.0), 0.20), D,
+           (10.62, 8.0)),
+    "G1-D10": ("g1_d10.cfg", SceneSegment(L2 / 2), 0.10, (23.6, 24.08)),
 }
 
 
 @pytest.fixture(scope="module")
 def spectra():
-    """Discretized spectra for every case and architecture.
+    """Discretized singular values for every case and architecture.
 
-    Operators are dropped right after the decomposition; the multistatic
-    matrix alone is 40000 x 400.
+    Values only, as `aperture-dof svd` computes them, so criterion 3 reads
+    the numbers that the case configs write to dof.json.
     """
     wave = WaveContext(LAM)
     out = {}
-    for name, (scene, standoff, targets) in CASES.items():
+    for name, (_, scene, standoff, targets) in CASES.items():
         aperture = Aperture.centered(L1, standoff)
         case = {"targets": targets, "scene": scene, "standoff": standoff}
         for arch, expected_norm in (
@@ -71,8 +77,7 @@ def spectra():
         ):
             layout = ArrayLayout.uniform(aperture, N_ELEMENTS, arch)
             op = build_operator(scene, layout, wave, N_SCENE)
-            case[arch] = {"spectrum": svd(op), "expected_norm": expected_norm}
-            del op
+            case[arch] = {"spectrum": svd(op, vectors=False), "expected_norm": expected_norm}
         out[name] = case
     return out
 
@@ -123,6 +128,16 @@ def test_criterion_3_sigma_bar_sq_regressions(report, spectra):
             ok = ok and abs(rel) <= 0.05
             parts.append(f"{name}/{arch[:4]} {got:.2f} vs {target} ({100 * rel:+.1f}%)")
     report(ok, "criterion 3: sigma_bar_sq within 5%: " + "; ".join(parts))
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_case_config_matches_case(name):
+    config, scene, standoff, _ = CASES[name]
+    cfg = ExperimentConfig.from_file(CONFIGS / config)
+    assert cfg.scene() == scene
+    assert cfg.aperture() == Aperture.centered(L1, standoff)
+    assert (cfg.wavelength, cfg.n_elements, cfg.n_scene) == (LAM, N_ELEMENTS, N_SCENE)
+    assert cfg.architectures() == (MONOSTATIC, MULTISTATIC)
 
 
 def test_criterion_4_fresnel_dof(report):

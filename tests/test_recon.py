@@ -297,6 +297,10 @@ def test_resolution_sweep_rejects_unknown_or_no_methods():
         _sweep(methods=("pinv", "cs"))
     with pytest.raises(ValueError, match="need at least one method"):
         _sweep(methods=())
+    with pytest.raises(ValueError, match="n_targets must be >= 1"):
+        _sweep(n_targets=0)
+    with pytest.raises(ValueError, match="oversample must be >= 1"):
+        _sweep(oversample=0)
 
 
 def test_resolution_curve_validation():

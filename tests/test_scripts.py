@@ -12,8 +12,6 @@ SCRIPTS = ROOT / "scripts"
 
 
 CASES = [
-    ("run_geometry_cases.py", ["--n-elements", "16", "--n-scene", "40"],
-     ["geometry_cases.csv", "spectra_G1.svg"]),
     ("run_fresnel_redundancy.py", ["--n-elements", "8"],
      ["redundancy_vs_standoff.csv"]),
 ]

@@ -35,7 +35,6 @@ from .fresnel import (
     effective_aperture,
     fresnel_dof,
     fresnel_equivalence_check,
-    fresnel_kernel,
     sbp_g3_fresnel,
 )
 from .geometry import (
@@ -51,7 +50,6 @@ from .kspace import (
     bandwidth,
     mono_spectrum,
     multi_spectrum,
-    project_onto_line,
     project_points_onto_line,
     scene_projection_angle,
 )
@@ -115,12 +113,10 @@ __all__ = [
     "effective_aperture",
     "fresnel_dof",
     "fresnel_equivalence_check",
-    "fresnel_kernel",
     "left_vectors",
     "mono_spectrum",
     "multi_spectrum",
     "path_length",
-    "project_onto_line",
     "project_points_onto_line",
     "psf",
     "reconstruct_mf",

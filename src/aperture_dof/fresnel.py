@@ -44,6 +44,7 @@ class ApertureFunction:
     @classmethod
     def from_positions(cls, positions, merge_tol: float = 1e-9) -> "ApertureFunction":
         """Delta train from raw positions, coalescing within merge_tol."""
+        _check_merge_tol(merge_tol)
         pos = np.atleast_1d(np.asarray(positions, dtype=float))
         return cls(*_coalesce(pos, np.ones(pos.size, dtype=int), merge_tol))
 
@@ -62,43 +63,35 @@ def _coalesce(positions: np.ndarray, mults: np.ndarray, tol: float):
     operation symmetric in its inputs.
     """
     order = np.argsort(positions, kind="stable")
-    pos, mul = positions[order], mults[order]
-    # each group ends at the first p with p - anchor > tol; searchsorted on
-    # anchor + tol can be off by one rounding step, so fix it up against
-    # the exact difference
-    starts = [0]
-    while starts[-1] < pos.size:
-        s = starts[-1]
-        e = max(int(np.searchsorted(pos, pos[s] + tol, side="right")), s + 1)
-        while e > s + 1 and pos[e - 1] - pos[s] > tol:
-            e -= 1
-        while e < pos.size and pos[e] - pos[s] <= tol:
-            e += 1
-        starts.append(e)
-    starts = starts[:-1]
-    acc_m = np.add.reduceat(mul, starts)
-    return np.add.reduceat(pos * mul, starts) / acc_m, acc_m.astype(int)
+    pos, mul = positions[order].tolist(), mults[order].tolist()
+    if not pos:  # left for ApertureFunction to reject
+        return positions, mults
+    out_pos, out_mul = [], []
+    anchor, acc_w, acc_m = pos[0], 0.0, 0
+    for p, m in zip(pos, mul):
+        if p - anchor > tol:
+            out_pos.append(acc_w / acc_m)
+            out_mul.append(acc_m)
+            anchor, acc_w, acc_m = p, 0.0, 0
+        acc_w += p * m
+        acc_m += m
+    out_pos.append(acc_w / acc_m)
+    out_mul.append(acc_m)
+    return np.array(out_pos), np.array(out_mul, dtype=int)
 
 
-def fresnel_kernel(x_tx, x_rx, u_scene, D: float, wave: WaveContext):
-    """Quadratic-phase round-trip kernel for a parallel scene at standoff D.
-
-    exp(-j2kD) * exp(-j(k/2D)(x_tx - x')^2) * exp(-j(k/2D)(x_rx - x')^2).
-    Broadcasts over array inputs.
-    """
-    if D <= 0.0:
-        raise ValueError("standoff must be positive")
-    k = wave.k
-    q = k / (2.0 * D)
-    x_tx, x_rx, u = np.asarray(x_tx), np.asarray(x_rx), np.asarray(u_scene)
-    return np.exp(-1j * (2.0 * k * D + q * (x_tx - u) ** 2 + q * (x_rx - u) ** 2))
+def _check_merge_tol(merge_tol: float) -> None:
+    if not (math.isfinite(merge_tol) and merge_tol >= 0.0):
+        raise ValueError(f"merge_tol must be finite and >= 0, got {merge_tol}")
 
 
 def fresnel_kernel_midpoint(x_tx, x_rx, u_scene, D: float, wave: WaveContext):
     """Factored form: midpoint kernel times the per-pair phase mask.
 
     exp(-j(k/4D)(x_tx - x_rx)^2) * exp(-j2kD) * exp(-j(k/D)(x_mid - x')^2)
-    with x_mid = (x_tx + x_rx)/2; algebraically equal to fresnel_kernel.
+    with x_mid = (x_tx + x_rx)/2; algebraically equal to the product of the
+    two paraxial one-way legs exp(-jk(D + (x - x')^2/(2D))) that
+    operator._one_way_phases takes under kernel 'fresnel'.
     """
     if D <= 0.0:
         raise ValueError("standoff must be positive")
@@ -144,6 +137,7 @@ def effective_aperture(
     of lattice sites, not as N_tx * N_rx.  Other trains coalesce all
     N_tx * N_rx pair midpoints.
     """
+    _check_merge_tol(merge_tol)
     indices = _lattice_indices(a_tx.positions, a_rx.positions, merge_tol)
     if indices is None:
         half_tx = 0.5 * a_tx.positions

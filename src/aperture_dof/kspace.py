@@ -166,23 +166,6 @@ def _project_arc(radius: float, alpha, beta, line_angle) -> tuple:
     return bottom / TWO_PI, top / TWO_PI
 
 
-def project_onto_line(spectral_set: SpectralSet, line_angle: float) -> tuple[float, float]:
-    """Project a spectral set onto the line at `line_angle` from the kx axis.
-
-    Returns
-    -------
-    (float, float)
-        [min, max] of the scalar projections in cycles/m.  Mono arcs are
-        projected analytically (sinusoid extrema over the angular span);
-        sampled sets by exhaustive min/max over their samples.
-    """
-    if spectral_set.kind == "mono-arc":
-        lo, hi = _project_arc(spectral_set.radius, spectral_set.alpha, spectral_set.beta,
-                              line_angle)
-        return float(lo), float(hi)
-    return project_points_onto_line(spectral_set.samples, line_angle)
-
-
 def scene_projection_angle(scene: SceneSegment) -> float:
     """Angle of the scene's non-redundant spatial-frequency line.
 

@@ -17,7 +17,6 @@ from aperture_dof import (
     effective_aperture,
     fresnel_dof,
     fresnel_equivalence_check,
-    fresnel_kernel,
     sbp_closed_form_g1,
     sbp_g3_fresnel,
     svd,
@@ -44,32 +43,23 @@ def test_aperture_function_validation():
         ApertureFunction(np.array([0.0, 1.0]), np.array([1]))
 
 
+@pytest.mark.parametrize("merge_tol", [math.nan, math.inf, -1e-9])
+def test_merge_tol_must_be_finite_and_non_negative(merge_tol):
+    # a NaN or infinite tolerance would merge every delta, and a negative one
+    # surfaced as "positions must be strictly increasing" on repeated positions
+    positions = [0.0, 0.0, 0.5, 1.0]
+    with pytest.raises(ValueError, match="merge_tol"):
+        ApertureFunction.from_positions(positions, merge_tol)
+    train = ApertureFunction.from_positions(positions)
+    with pytest.raises(ValueError, match="merge_tol"):
+        effective_aperture(train, train, merge_tol)
+
+
 def test_from_positions_coalesces():
     fn = ApertureFunction.from_positions([0.0, 1e-12, 0.5, 0.5 + 1e-12, 1.0])
     np.testing.assert_allclose(fn.positions, [5e-13, 0.5 + 5e-13, 1.0])
     np.testing.assert_array_equal(fn.multiplicities, [2, 2, 1])
     assert fn.total == 5
-
-
-def _coalesce_loop(positions, mults, tol):
-    # the original one-delta-at-a-time grouping, kept as an oracle
-    order = np.argsort(positions, kind="stable")
-    pos, mul = positions[order], mults[order]
-    out_pos, out_mul = [], []
-    anchor = pos[0]
-    acc_w = 0.0
-    acc_m = 0
-    for p, m in zip(pos, mul):
-        if p - anchor > tol and acc_m > 0:
-            out_pos.append(acc_w / acc_m)
-            out_mul.append(acc_m)
-            anchor = p
-            acc_w, acc_m = 0.0, 0
-        acc_w += p * m
-        acc_m += int(m)
-    out_pos.append(acc_w / acc_m)
-    out_mul.append(acc_m)
-    return np.array(out_pos), np.array(out_mul, dtype=int)
 
 
 def test_coalesce_groups_around_the_first_point_not_the_neighbour():
@@ -98,10 +88,23 @@ def test_coalesce_matches_the_sequential_grouping(seed):
     pos[rng.random(n) < 0.2] = pos[0]        # exact duplicates
     mul = rng.integers(1, 5, n)
     got_pos, got_mul = _coalesce(pos, mul, tol)
-    want_pos, want_mul = _coalesce_loop(pos, mul, tol)
-    np.testing.assert_array_equal(got_mul, want_mul)
-    np.testing.assert_allclose(got_pos, want_pos, rtol=0,
-                               atol=1e-15 * np.abs(want_pos).max())
+    assert got_mul.sum() == mul.sum()
+    order = np.argsort(pos, kind="stable")
+    p, m = pos[order], mul[order]
+    # groups are contiguous runs of the sorted input: their multiplicities
+    # partition its running total
+    running, group_running = np.cumsum(m), np.cumsum(got_mul)
+    ends = np.searchsorted(running, group_running) + 1
+    np.testing.assert_array_equal(running[ends - 1], group_running)
+    for g, (start, end) in enumerate(zip(np.concatenate(([0], ends[:-1])), ends)):
+        members = p[start:end]
+        # every member lies within tol of the group's first point (the
+        # anchor), and the next group starts more than tol past it
+        assert np.all(members - members[0] <= tol)
+        if end < n:
+            assert p[end] - members[0] > tol
+        assert got_pos[g] == pytest.approx(np.dot(members, m[start:end]) / got_mul[g],
+                                           rel=0, abs=1e-15 * np.abs(pos).max())
 
 
 def test_effective_aperture_uniform_train_is_triangular():
@@ -197,7 +200,7 @@ def test_lattice_needs_a_pitch_above_four_merge_tolerances():
 
 def test_effective_aperture_of_a_uniform_layout_does_not_grow_as_n_squared():
     # all 10^6 pair midpoints of 1000 elements, with _coalesce's sorted
-    # copies, take about 46 MiB
+    # lists, take about 69 MiB
     tol = LAM / 1000.0
     layout = ArrayLayout.uniform(Aperture.centered(L1, D), 1000, MULTISTATIC)
     train = ApertureFunction.from_positions(layout.tx_positions, tol)
@@ -217,8 +220,12 @@ def test_kernel_factored_form_equals_direct_form():
     x_tx = rng.uniform(-0.075, 0.075, 20)
     x_rx = rng.uniform(-0.075, 0.075, 20)
     u = rng.uniform(-0.05, 0.05, 20)
-    direct = fresnel_kernel(x_tx, x_rx, u, D, wave)
-    factored = fresnel_kernel_midpoint(x_tx, x_rx, u, D, wave)
+    # the two paraxial one-way legs the operator takes under kernel 'fresnel',
+    # one row per (x_tx, x_rx) pair and one column per scene point
+    points = np.stack([u, np.zeros_like(u)], axis=-1)
+    direct = (_one_way_phases(x_tx, points, -D, wave.k, "fresnel")
+              * _one_way_phases(x_rx, points, -D, wave.k, "fresnel"))
+    factored = fresnel_kernel_midpoint(x_tx[:, None], x_rx[:, None], u[None, :], D, wave)
     np.testing.assert_allclose(factored, direct, atol=5e-7)
     np.testing.assert_allclose(np.abs(direct), 1.0, rtol=1e-12)
 
@@ -226,7 +233,7 @@ def test_kernel_factored_form_equals_direct_form():
 def test_fresnel_kernel_validation():
     wave = WaveContext(LAM)
     with pytest.raises(ValueError):
-        fresnel_kernel(0.0, 0.0, 0.0, 0.0, wave)
+        fresnel_kernel_midpoint(0.0, 0.0, 0.0, 0.0, wave)
     with pytest.raises(ValueError):
         fresnel_kernel_midpoint(0.0, 0.0, 0.0, -1.0, wave)
 
@@ -277,7 +284,7 @@ def test_pair_singular_values_match_dense_assembly():
         for xt in layout.tx_positions:
             for xr in layout.rx_positions:
                 if kernel == "fresnel":
-                    row = fresnel_kernel(xt, xr, x, D, wave)
+                    row = fresnel_kernel_midpoint(xt, xr, x, D, wave)
                 else:
                     row = np.exp(
                         -1j * wave.k * (np.hypot(xt - x, D) + np.hypot(xr - x, D))

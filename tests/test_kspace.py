@@ -11,11 +11,11 @@ from aperture_dof import (
     bandwidth,
     mono_spectrum,
     multi_spectrum,
-    project_onto_line,
     project_points_onto_line,
     scene_projection_angle,
 )
 from aperture_dof.kspace import (
+    _project_arc,
     effective_monostatic_point,
     sample_point,
 )
@@ -86,7 +86,7 @@ def test_arc_projection_matches_dense_sampling(aperture, wave):
     spec = mono_spectrum((0.04, 0.0), aperture, wave)
     dense = spec.arc_samples(200001)
     for angle in np.linspace(-math.pi, math.pi, 17):
-        lo_a, hi_a = project_onto_line(spec, angle)
+        lo_a, hi_a = _project_arc(spec.radius, spec.alpha, spec.beta, angle)
         lo_d, hi_d = project_points_onto_line(dense, angle)
         assert lo_a == pytest.approx(lo_d, abs=1e-6 * wave.k)
         assert hi_a == pytest.approx(hi_d, abs=1e-6 * wave.k)
@@ -112,7 +112,7 @@ def test_closed_form_arc_projection_wraps_around(line_angle, xp, frac, j, sign):
     phi = spec.alpha + frac * (spec.beta - spec.alpha)
     dense = spec.arc_samples(200001)
     for angle in (line_angle, sign * 0.5 * math.pi + TWO_PI * j - phi):
-        lo_a, hi_a = project_onto_line(spec, angle)
+        lo_a, hi_a = _project_arc(spec.radius, spec.alpha, spec.beta, angle)
         lo_d, hi_d = project_points_onto_line(dense, angle)
         assert lo_a == pytest.approx(lo_d, abs=1e-6 * wave.k)
         assert hi_a == pytest.approx(hi_d, abs=1e-6 * wave.k)
@@ -193,7 +193,7 @@ def test_bandwidth_positive_across_scene(aperture, wave):
 def test_projection_interval_ordering(aperture, wave):
     spec = multi_spectrum((0.01, 0.0), aperture, wave, 32)
     for angle in np.linspace(-math.pi, math.pi, 9):
-        lo, hi = project_onto_line(spec, angle)
+        lo, hi = project_points_onto_line(spec.samples, angle)
         assert lo <= hi
 
 

@@ -45,8 +45,6 @@ from .geometry import (
     viewing_angles,
 )
 from .kspace import (
-    KVector,
-    SpectralSet,
     bandwidth,
     mono_spectrum,
     multi_spectrum,
@@ -95,13 +93,11 @@ __all__ = [
     "DiscreteOperator",
     "FresnelEquivalenceReport",
     "ImageProfile",
-    "KVector",
     "MONOSTATIC",
     "MULTISTATIC",
     "ResolutionCurve",
     "SbpResult",
     "SceneSegment",
-    "SpectralSet",
     "SvdSpectrum",
     "UnresolvableProfileError",
     "WaveContext",

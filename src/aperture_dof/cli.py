@@ -271,7 +271,15 @@ class ExperimentConfig:
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
         parser = configparser.ConfigParser(interpolation=None)
         parser.optionxform = str  # keep key case: L1 vs l1 must not alias
-        if not parser.read(path):
+        try:
+            found = parser.read(path)
+        except configparser.Error as exc:
+            # a repeated key or section, a line outside any section or a key
+            # without '=': configparser's message names the file and line
+            raise ConfigError(str(exc)) from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
+        if not found:
             raise ConfigError(f"config file not found: {path}")
         # configparser copies [DEFAULT] keys into every section
         if parser.defaults():
@@ -449,9 +457,8 @@ def cmd_sbp_sweep(cfg: ExperimentConfig, out: Path) -> list:
 def cmd_kspace(cfg: ExperimentConfig, out: Path) -> list:
     wave, aperture, scene = cfg.wave(), cfg.aperture(), cfg.scene()
     point = scene.point(cfg.kspace_point_u)
-    mono = mono_spectrum(point, aperture, wave)
     n = cfg.kspace_samples
-    mono_pts = mono.arc_samples(n)
+    mono_pts = mono_spectrum(point, aperture, wave, n)
 
     # the written multi grid is decimated; checks below use the full density
     multi_out = multi_spectrum(point, aperture, wave, min(n, 96))
@@ -463,7 +470,7 @@ def cmd_kspace(cfg: ExperimentConfig, out: Path) -> list:
     angles.extend(rng.uniform(-0.5 * math.pi, 0.5 * math.pi) for _ in range(3))
     for ang in angles:
         lo_m, hi_m = project_points_onto_line(mono_pts, ang)
-        lo_x, hi_x = project_points_onto_line(multi_full.samples, ang)
+        lo_x, hi_x = project_points_onto_line(multi_full, ang)
         _check(
             abs((hi_m - lo_m) - (hi_x - lo_x)) <= 1e-9 * wave.k,
             f"mono/multi projected widths diverge at line angle {ang:.3f}",
@@ -479,7 +486,7 @@ def cmd_kspace(cfg: ExperimentConfig, out: Path) -> list:
                          "the scene is too large for its reciprocal to be meaningful")
     return [
         _write_csv(out / "kspace_mono.csv", ["kx", "kz"], *mono_pts.T),
-        _write_csv(out / "kspace_multi.csv", ["kx", "kz"], *multi_out.samples.T),
+        _write_csv(out / "kspace_multi.csv", ["kx", "kz"], *multi_out.T),
         _write_csv(out / "bandwidth.csv", ["u", "x", "z", "bandwidth", "reciprocal"],
                    u_grid, *pts.T, b, 1.0 / b),
     ]
@@ -607,7 +614,7 @@ def main(argv: list | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError, MemoryError) as exc:
+    except (ValueError, RuntimeError, MemoryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     for f in files:

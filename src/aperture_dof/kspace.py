@@ -3,9 +3,11 @@
 For a point scatterer seen under viewing angles [alpha, beta], a monostatic
 array samples the arc of radius 2k spanning those angles; a multistatic
 array samples every vector sum k_tx + k_rx over the angular product space.
-The scatterer's usable bandwidth is the width of either set projected onto
-the scene's non-redundant direction, and it is the same for both
-architectures.
+Both sample sets are plain (m, 2) arrays of (kx, kz) rows in rad/m, built
+from one table of one-way vectors k*(sin(phi), cos(phi)): the arc is twice
+the table, the multistatic set its pairwise sums. The scatterer's usable
+bandwidth is the width of either set projected onto the scene's
+non-redundant direction, and it is the same for both architectures.
 
 Projection intervals and bandwidths are reported in cyclic spatial
 frequency (cycles per meter, i.e. rad/m divided by 2*pi), so an interval
@@ -15,7 +17,6 @@ width reads directly as a bandwidth B.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,59 +26,8 @@ from .geometry import (TWO_PI, Aperture, SceneSegment, WaveContext, element_view
 _HALF_PI = 0.5 * math.pi
 
 
-@dataclass(frozen=True)
-class KVector:
-    """Single spatial-frequency vector (kx, kz) in rad/m."""
-
-    kx: float
-    kz: float
-
-    @property
-    def norm(self) -> float:
-        return math.hypot(self.kx, self.kz)
-
-    @property
-    def angle(self) -> float:
-        """Angle from the kz axis, matching the viewing-angle convention."""
-        return math.atan2(self.kx, self.kz)
-
-
-@dataclass(frozen=True)
-class SpectralSet:
-    """Set of round-trip k-space points available for one scatterer.
-
-    kind 'mono-arc' is the arc of radius 2k over [alpha, beta], stored
-    analytically; kind 'multi-region' is a discrete sampling of
-    {k_tx + k_rx} stored in `samples` as an (m, 2) array.
-    """
-
-    kind: str
-    radius: float
-    alpha: float
-    beta: float
-    samples: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("mono-arc", "multi-region"):
-            raise ValueError(f"unknown spectral set kind {self.kind!r}")
-        if not (self.alpha <= self.beta):
-            raise ValueError(f"need alpha <= beta, got [{self.alpha}, {self.beta}]")
-        if self.samples is not None:
-            norms = np.hypot(self.samples[:, 0], self.samples[:, 1])
-            # 2k is the outer radius for both kinds; allow rounding slack
-            if np.any(norms > self.radius * (1.0 + 1e-12) + 1e-12):
-                raise ValueError("spectral samples exceed the 2k outer radius")
-
-    def arc_samples(self, n: int) -> np.ndarray:
-        """n points of the underlying mono arc on a uniform angle grid."""
-        if n < 1:
-            raise ValueError("need at least one sample")
-        phi = np.linspace(self.alpha, self.beta, n)
-        return self.radius * np.stack([np.sin(phi), np.cos(phi)], axis=-1)
-
-
-def sample_point(theta_tx: float, theta_rx: float, wave: WaveContext) -> KVector:
-    """Round-trip k-space point sampled by a (Tx, Rx) pair of viewing angles.
+def sample_point(theta_tx: float, theta_rx: float, wave: WaveContext) -> tuple[float, float]:
+    """Round-trip k-space point (kx, kz) sampled by a (Tx, Rx) pair of viewing angles.
 
     Parameters
     ----------
@@ -87,53 +37,50 @@ def sample_point(theta_tx: float, theta_rx: float, wave: WaveContext) -> KVector
 
     Returns
     -------
-    KVector
-        k_tx + k_rx where each one-way vector is k*(sin(theta), cos(theta)).
-        The sum has norm 2k*cos(|theta_tx - theta_rx|/2) and bisects the two
-        angles.
+    (float, float)
+        k_tx + k_rx in rad/m, where each one-way vector is
+        k*(sin(theta), cos(theta)). The sum has norm
+        2k*cos(|theta_tx - theta_rx|/2) and bisects the two angles.
     """
     if abs(theta_tx) >= _HALF_PI or abs(theta_rx) >= _HALF_PI:
         raise ValueError(
             f"grazing viewing angle: |theta| must be < pi/2, got {theta_tx}, {theta_rx}"
         )
     k = wave.k
-    return KVector(
-        kx=k * math.sin(theta_tx) + k * math.sin(theta_rx),
-        kz=k * math.cos(theta_tx) + k * math.cos(theta_rx),
-    )
+    return (k * math.sin(theta_tx) + k * math.sin(theta_rx),
+            k * math.cos(theta_tx) + k * math.cos(theta_rx))
 
 
-def mono_spectrum(scene_point, aperture: Aperture, wave: WaveContext) -> SpectralSet:
-    """Arc of radius 2k spanned by the viewing angles of `scene_point`."""
+def _one_way_table(scene_point, aperture: Aperture, wave: WaveContext, n: int) -> np.ndarray:
+    """(n, 2) one-way vectors k*(sin(phi), cos(phi)) for n viewing angles phi
+    from alpha to beta, endpoints included."""
+    if n < 2:
+        raise ValueError("need n_samples >= 2 per angular axis")
     alpha, beta = viewing_angles(scene_point, aperture)
-    return SpectralSet(kind="mono-arc", radius=2.0 * wave.k, alpha=alpha, beta=beta)
+    phi = np.linspace(alpha, beta, n)
+    k = wave.k
+    return np.stack([k * np.sin(phi), k * np.cos(phi)], axis=-1)
+
+
+def mono_spectrum(
+    scene_point, aperture: Aperture, wave: WaveContext, n_samples: int = 512
+) -> np.ndarray:
+    """(n_samples, 2) samples of the arc of radius 2k spanned by the viewing
+    angles of `scene_point`: twice the one-way vectors, on a uniform angle grid."""
+    return 2.0 * _one_way_table(scene_point, aperture, wave, n_samples)
 
 
 def multi_spectrum(
     scene_point, aperture: Aperture, wave: WaveContext, n_samples: int = 512
-) -> SpectralSet:
-    """Discrete sampling of the multistatic set {k_tx + k_rx}.
+) -> np.ndarray:
+    """(n_samples**2, 2) samples of the multistatic set {k_tx + k_rx}.
 
-    The (theta_tx, theta_rx) rectangle [alpha, beta]^2 is sampled on an
-    n_samples x n_samples grid including the endpoints, so the diagonal
-    reproduces the mono arc samples exactly.
+    Row i * n_samples + j is the sum of the one-way vectors at the i-th Tx
+    and j-th Rx angle of the mono grid. Doubling is exact, so the diagonal
+    i == j reproduces `mono_spectrum` bit for bit.
     """
-    if n_samples < 2:
-        raise ValueError("need n_samples >= 2 per angular axis")
-    alpha, beta = viewing_angles(scene_point, aperture)
-    k = wave.k
-    phi = np.linspace(alpha, beta, n_samples)
-    kx = k * np.sin(phi)
-    kz = k * np.cos(phi)
-    sum_kx = (kx[:, None] + kx[None, :]).ravel()
-    sum_kz = (kz[:, None] + kz[None, :]).ravel()
-    return SpectralSet(
-        kind="multi-region",
-        radius=2.0 * k,
-        alpha=alpha,
-        beta=beta,
-        samples=np.stack([sum_kx, sum_kz], axis=-1),
-    )
+    one_way = _one_way_table(scene_point, aperture, wave, n_samples)
+    return (one_way[:, None, :] + one_way[None, :, :]).reshape(-1, 2)
 
 
 def project_points_onto_line(points: np.ndarray, line_angle: float) -> tuple[float, float]:

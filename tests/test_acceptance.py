@@ -190,10 +190,10 @@ def test_criterion_6_projection_identity(report):
         ap = Aperture(a1, a1 + rng.uniform(0.01, 0.5), rng.uniform(0.05, 1.0))
         point = (rng.uniform(-0.5, 0.5), rng.uniform(-0.04, 0.5))
         angle = rng.uniform(-math.pi, math.pi)
-        mono_pts = mono_spectrum(point, ap, wave).arc_samples(n)
+        mono_pts = mono_spectrum(point, ap, wave, n)
         multi = multi_spectrum(point, ap, wave, n)
         lo_m, hi_m = project_points_onto_line(mono_pts, angle)
-        lo_x, hi_x = project_points_onto_line(multi.samples, angle)
+        lo_x, hi_x = project_points_onto_line(multi, angle)
         worst = max(worst, abs((hi_m - lo_m) - (hi_x - lo_x)))
     ok = worst <= 1e-9 * wave.k
     report(ok, f"criterion 6: projected mono/multi widths agree; worst gap "

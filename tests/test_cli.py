@@ -161,6 +161,13 @@ def test_every_shipped_config_loads(path):
          re.escape("[resolution] methods: must name at least one method")),
         ("[resolution]\nmethods = mf, mf\n",
          re.escape("[resolution] methods: method 'mf' given twice")),
+        # not valid INI: configparser's own message, naming the line
+        ("[geometry]\nlambda = 5mm\nlambda = 6mm\n",
+         re.escape("[line  3]: option 'lambda' in section 'geometry' already exists")),
+        ("[geometry]\nL1 = 15cm\n[geometry]\nL2 = 10cm\n",
+         re.escape("[line  3]: section 'geometry' already exists")),
+        ("lambda = 5mm\n[geometry]\n", "File contains no section headers"),
+        ("[geometry]\nlambda\n", re.escape("[line  2]: 'lambda\\n'")),
     ],
 )
 def test_config_rejection_names_the_offender(tmp_path, body, fragment):
@@ -181,6 +188,24 @@ def test_config_error_exits_2(tmp_path, capsys):
     path.write_text("[geometry]\nL2 = 0\n")
     assert main(["svd", "--config", str(path)]) == 2
     assert "L2" in capsys.readouterr().err
+
+
+def test_config_that_does_not_decode_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"[geometry]\nL1 = 15cm \xff\xfe\n")
+    assert main(["svd", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}: ") and "can't decode byte 0xff" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_out_naming_an_existing_file_exits_1(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    cfg = write_config(tmp_path, NOMINAL)
+    assert main(["kspace", "--config", str(cfg), "--out", str(taken)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "File exists" in err
 
 
 def test_svd_command_outputs(tmp_path):

@@ -13,6 +13,7 @@ from aperture_dof import (
     multi_spectrum,
     project_points_onto_line,
     scene_projection_angle,
+    viewing_angles,
 )
 from aperture_dof.kspace import (
     _project_arc,
@@ -31,11 +32,13 @@ _angles = st.floats(-1.4, 1.4)
 @given(theta_tx=_angles, theta_rx=_angles)
 def test_sample_point_norm_and_bisector(theta_tx, theta_rx):
     wave = WaveContext(0.005)
-    kv = sample_point(theta_tx, theta_rx, wave)
+    kx, kz = sample_point(theta_tx, theta_rx, wave)
     expected_norm = 2.0 * wave.k * math.cos(0.5 * abs(theta_tx - theta_rx))
-    assert kv.norm == pytest.approx(expected_norm, rel=1e-12)
-    if kv.norm > 1e-9:
-        assert kv.angle == pytest.approx(0.5 * (theta_tx + theta_rx), abs=1e-12)
+    norm = math.hypot(kx, kz)
+    assert norm == pytest.approx(expected_norm, rel=1e-12)
+    if norm > 1e-9:
+        # angle from the kz axis, the viewing-angle convention
+        assert math.atan2(kx, kz) == pytest.approx(0.5 * (theta_tx + theta_rx), abs=1e-12)
 
 
 @given(theta_tx=_angles, theta_rx=_angles)
@@ -44,7 +47,7 @@ def test_sample_point_reciprocity(theta_tx, theta_rx):
     wave = WaveContext(0.005)
     a = sample_point(theta_tx, theta_rx, wave)
     b = sample_point(theta_rx, theta_tx, wave)
-    assert (a.kx, a.kz) == (b.kx, b.kz)
+    assert a == b
 
 
 def test_sample_point_rejects_grazing():
@@ -54,39 +57,52 @@ def test_sample_point_rejects_grazing():
 
 
 def test_mono_spectrum_is_2k_arc(aperture, wave):
-    spec = mono_spectrum((0.0, 0.0), aperture, wave)
-    assert spec.kind == "mono-arc"
-    assert spec.radius == pytest.approx(2.0 * wave.k)
-    pts = spec.arc_samples(33)
+    pts = mono_spectrum((0.0, 0.0), aperture, wave, 33)
+    assert pts.shape == (33, 2)
     norms = np.hypot(pts[:, 0], pts[:, 1])
     np.testing.assert_allclose(norms, 2.0 * wave.k, rtol=1e-12)
     # span endpoints are the single-element views from the aperture edges
-    assert math.atan2(pts[0, 0], pts[0, 1]) == pytest.approx(spec.alpha)
-    assert math.atan2(pts[-1, 0], pts[-1, 1]) == pytest.approx(spec.beta)
+    alpha, beta = viewing_angles((0.0, 0.0), aperture)
+    assert math.atan2(pts[0, 0], pts[0, 1]) == pytest.approx(alpha)
+    assert math.atan2(pts[-1, 0], pts[-1, 1]) == pytest.approx(beta)
 
 
 def test_multi_contains_mono_on_the_diagonal(aperture, wave):
     # inclusion: the mono arc is the diagonal slice of the multi set, exactly
     n = 64
     point = (0.03, 0.0)
-    mono_pts = mono_spectrum(point, aperture, wave).arc_samples(n)
+    mono_pts = mono_spectrum(point, aperture, wave, n)
     multi = multi_spectrum(point, aperture, wave, n)
-    diag = multi.samples.reshape(n, n, 2)[np.arange(n), np.arange(n)]
+    diag = multi.reshape(n, n, 2)[np.arange(n), np.arange(n)]
     np.testing.assert_array_equal(diag, mono_pts)
+
+
+def test_multi_rows_are_pairwise_sums(aperture, wave):
+    # row i * n + j sums the one-way vectors of angles i and j, for every
+    # pair, not just the diagonal; halving the doubled mono arc is exact, so
+    # every sum matches bit for bit (Tx and Rx share one angle grid, so the
+    # set is symmetric and cannot tell Tx-major from Rx-major)
+    n = 7
+    point = (0.03, 0.01)
+    mono_pts = mono_spectrum(point, aperture, wave, n)
+    multi = multi_spectrum(point, aperture, wave, n)
+    assert multi.shape == (n * n, 2)
+    pairs = mono_pts[:, None, :] / 2 + mono_pts[None, :, :] / 2
+    np.testing.assert_array_equal(multi.reshape(n, n, 2), pairs)
 
 
 def test_multi_samples_capped_by_outer_radius(aperture, wave):
     multi = multi_spectrum((0.02, 0.0), aperture, wave, 48)
-    norms = np.hypot(multi.samples[:, 0], multi.samples[:, 1])
+    norms = np.hypot(multi[:, 0], multi[:, 1])
     assert norms.max() <= 2.0 * wave.k * (1.0 + 1e-12)
 
 
 def test_arc_projection_matches_dense_sampling(aperture, wave):
     # analytic sinusoid extrema against a brute-force dense oracle
-    spec = mono_spectrum((0.04, 0.0), aperture, wave)
-    dense = spec.arc_samples(200001)
+    alpha, beta = viewing_angles((0.04, 0.0), aperture)
+    dense = mono_spectrum((0.04, 0.0), aperture, wave, 200001)
     for angle in np.linspace(-math.pi, math.pi, 17):
-        lo_a, hi_a = _project_arc(spec.radius, spec.alpha, spec.beta, angle)
+        lo_a, hi_a = _project_arc(2.0 * wave.k, alpha, beta, angle)
         lo_d, hi_d = project_points_onto_line(dense, angle)
         assert lo_a == pytest.approx(lo_d, abs=1e-6 * wave.k)
         assert hi_a == pytest.approx(hi_d, abs=1e-6 * wave.k)
@@ -108,11 +124,12 @@ def test_closed_form_arc_projection_wraps_around(line_angle, xp, frac, j, sign):
     # at j = -1, 0, 1; besides a free angle, each example builds one whose
     # stationary phase lands at `frac` of the span, which a free draw rarely hits
     wave = WaveContext(0.005)
-    spec = mono_spectrum((xp, 0.0), Aperture.centered(0.15, 0.2), wave)
-    phi = spec.alpha + frac * (spec.beta - spec.alpha)
-    dense = spec.arc_samples(200001)
+    ap = Aperture.centered(0.15, 0.2)
+    alpha, beta = viewing_angles((xp, 0.0), ap)
+    phi = alpha + frac * (beta - alpha)
+    dense = mono_spectrum((xp, 0.0), ap, wave, 200001)
     for angle in (line_angle, sign * 0.5 * math.pi + TWO_PI * j - phi):
-        lo_a, hi_a = _project_arc(spec.radius, spec.alpha, spec.beta, angle)
+        lo_a, hi_a = _project_arc(2.0 * wave.k, alpha, beta, angle)
         lo_d, hi_d = project_points_onto_line(dense, angle)
         assert lo_a == pytest.approx(lo_d, abs=1e-6 * wave.k)
         assert hi_a == pytest.approx(hi_d, abs=1e-6 * wave.k)
@@ -164,10 +181,10 @@ def test_projected_widths_match_across_architectures(a1, length, d, xp, zp, line
     wave = WaveContext(0.005)
     ap = Aperture(a1, a1 + length, d)
     n = 128
-    mono_pts = mono_spectrum((xp, zp), ap, wave).arc_samples(n)
+    mono_pts = mono_spectrum((xp, zp), ap, wave, n)
     multi = multi_spectrum((xp, zp), ap, wave, n)
     lo_m, hi_m = project_points_onto_line(mono_pts, line_angle)
-    lo_x, hi_x = project_points_onto_line(multi.samples, line_angle)
+    lo_x, hi_x = project_points_onto_line(multi, line_angle)
     assert abs((hi_m - lo_m) - (hi_x - lo_x)) <= 1e-9 * wave.k
 
 
@@ -191,9 +208,9 @@ def test_bandwidth_positive_across_scene(aperture, wave):
 
 
 def test_projection_interval_ordering(aperture, wave):
-    spec = multi_spectrum((0.01, 0.0), aperture, wave, 32)
+    multi = multi_spectrum((0.01, 0.0), aperture, wave, 32)
     for angle in np.linspace(-math.pi, math.pi, 9):
-        lo, hi = project_points_onto_line(spec.samples, angle)
+        lo, hi = project_points_onto_line(multi, angle)
         assert lo <= hi
 
 
@@ -222,5 +239,5 @@ def test_effective_monostatic_point_reproduces_pair_vector(x_tx, x_rx, xp, zp):
     assert lam_eff >= wave.wavelength
     t_eff = element_view_angle(x_eff, (xp, zp), ap)
     eff = sample_point(t_eff, t_eff, WaveContext(lam_eff))
-    assert eff.kx == pytest.approx(pair.kx, abs=1e-7 * wave.k)
-    assert eff.kz == pytest.approx(pair.kz, abs=1e-7 * wave.k)
+    assert eff[0] == pytest.approx(pair[0], abs=1e-7 * wave.k)
+    assert eff[1] == pytest.approx(pair[1], abs=1e-7 * wave.k)

@@ -192,7 +192,6 @@ _FIELDS = (
     ("array", "spacing", "n_elements", _parse_spacing),
     ("discretization", "n_scene", "n_scene", _parse_int),
     ("discretization", "kspace_samples", "kspace_samples", _parse_int),
-    ("discretization", "sbp_points", "sbp_points", _parse_int),
     ("run", "out_dir", "out_dir", lambda text, *_: text.strip()),
     ("run", "seed", "seed", _parse_int),
     ("run", "svg", "svg", _parse_bool),
@@ -220,7 +219,6 @@ _RANGE_CHECKS = (
     (lambda c: c.n_elements < 1, "[array] n_elements: must be >= 1"),
     (lambda c: c.n_scene < 2, "[discretization] n_scene: must be >= 2"),
     (lambda c: c.kspace_samples < 2, "[discretization] kspace_samples: must be >= 2"),
-    (lambda c: c.sbp_points < 16, "[discretization] sbp_points: must be >= 16"),
     (lambda c: c.res_oversample < 1, "[resolution] oversample: must be >= 1"),
     (lambda c: c.res_n_targets < 1, "[resolution] n_targets: must be >= 1"),
 )
@@ -240,7 +238,6 @@ class ExperimentConfig:
     n_elements: int = 200
     n_scene: int = 400
     kspace_samples: int = 512
-    sbp_points: int = 512
     out_dir: str = "results"
     seed: int = 0
     svg: bool = True
@@ -364,7 +361,7 @@ def _check(condition: bool, message: str):
 
 def cmd_svd(cfg: ExperimentConfig, out: Path, archs: tuple) -> list:
     wave, aperture, scene = cfg.wave(), cfg.aperture(), cfg.scene()
-    sbp_res = compute_sbp(scene, aperture, wave, cfg.sbp_points)
+    sbp_res = compute_sbp(scene, aperture, wave)
     written = []
     arch_payload = {}
     svg_series = []
@@ -441,14 +438,14 @@ def cmd_sbp_sweep(cfg: ExperimentConfig, out: Path) -> list:
         # sweep parameters are named after the attributes they override
         at = replace(cfg, **{param: value})
         aperture, scene = at.aperture(), at.scene()
-        row = [value, compute_sbp(scene, aperture, wave, cfg.sbp_points).value]
+        row = [value, compute_sbp(scene, aperture, wave).value]
         if cfg.sweep_include_fresnel:
             row.append(sbp_g3_fresnel(at.L1, at.L2, at.D, cfg.wavelength, at.theta))
         if cfg.sweep_include_theta:
             row.append(theta_heu(at.t, at.D))
             key = (at.t, at.L2, at.D)
             if key not in best_tilt:
-                best_tilt[key] = theta_max(scene, aperture, wave, cfg.sbp_points)
+                best_tilt[key] = theta_max(scene, aperture, wave)
             row.append(best_tilt[key])
         rows.append(row)
     return [_write_csv(out / "sbp_sweep.csv", header, *zip(*rows))]

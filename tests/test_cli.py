@@ -124,7 +124,7 @@ def test_every_shipped_config_loads(path):
         ("[discretization]\nkspace_samples = 1\n",
          re.escape("[discretization] kspace_samples: must be >= 2")),
         ("[discretization]\nsbp_points = 15\n",
-         re.escape("[discretization] sbp_points: must be >= 16")),
+         re.escape("[discretization] sbp_points: unknown key")),
         ("[resolution]\noversample = 0\n",
          re.escape("[resolution] oversample: must be >= 1")),
         ("[resolution]\nn_targets = 0\n",
@@ -615,6 +615,12 @@ def test_resolution_does_not_import_numpy_ma(tmp_path):
 def test_kspace_does_not_import_numpy_random(tmp_path):
     # numpy.random, about 16 ms of start-up, only to draw three check angles
     _assert_runs_without("numpy.random", "kspace", "nominal.cfg", tmp_path)
+
+
+def test_sbp_sweep_does_not_import_numpy_polynomial(tmp_path):
+    # numpy.polynomial, about 4 ms and 0.6 MiB of start-up on a 2-vCPU VM,
+    # only for Gauss-Legendre nodes that the sbp module computes itself
+    _assert_runs_without("numpy.polynomial", "sbp-sweep", "tilt_sweep.cfg", tmp_path)
 
 
 def test_unknown_command_rejected():

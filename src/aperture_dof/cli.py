@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import gc
 import json
 import math
 import random
@@ -42,7 +43,7 @@ from .operator import (
     svd,
 )
 from .recon import resolution_sweep
-from .sbp import compute_sbp, sbp_numeric, theta_heu, theta_max
+from .sbp import compute_sbp, theta_heu, theta_max
 
 
 class ConfigError(Exception):
@@ -583,12 +584,17 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="experiment config file")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--arch", default=None, choices=["mono", "multi", "both"],
-                       help="architecture override")
+        # kspace and fresnel always use both architectures, sbp-sweep neither
+        if name in ("svd", "resolution"):
+            p.add_argument("--arch", default=None, choices=["mono", "multi", "both"],
+                           help="architecture override")
     return parser
 
 
 def main(argv: list | None = None) -> int:
+    # nothing that exists before the command runs is garbage: keep the import
+    # heap out of every later collection, the ones at interpreter exit too
+    gc.freeze()
     args = build_parser().parse_args(argv)
     try:
         cfg = ExperimentConfig.from_file(args.config)
@@ -597,9 +603,8 @@ def main(argv: list | None = None) -> int:
                 f"[run] analyses: {args.command!r} not enabled in this config")
         out = Path(args.out if args.out else cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        archs = cfg.architectures(args.arch)
         if args.command == "svd":
-            files = cmd_svd(cfg, out, archs)
+            files = cmd_svd(cfg, out, cfg.architectures(args.arch))
         elif args.command == "sbp-sweep":
             files = cmd_sbp_sweep(cfg, out)
         elif args.command == "kspace":
@@ -607,7 +612,7 @@ def main(argv: list | None = None) -> int:
         elif args.command == "fresnel":
             files = cmd_fresnel(cfg, out)
         else:
-            files = cmd_resolution(cfg, out, archs)
+            files = cmd_resolution(cfg, out, cfg.architectures(args.arch))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -19,7 +19,8 @@ from aperture_dof import (
 )
 from aperture_dof.cli import ConfigError, ExperimentConfig, _write_csv, main
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 NOMINAL = """
 [geometry]
@@ -583,27 +584,31 @@ def test_norm_check_catches_a_dropped_rx_weight(tmp_path, monkeypatch, capsys):
     assert "norm deviates" in capsys.readouterr().err
 
 
-def _assert_runs_without(module, command, config, out):
-    """Runs the command in a fresh interpreter and asserts that it never
-    imported `module`."""
+def _fresh_python(*args):
+    """Runs `python *args` in a fresh interpreter with the source tree first on
+    PYTHONPATH; returns the completed process."""
     import os
     import subprocess
     import sys
 
-    root = Path(__file__).resolve().parent.parent
-    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *map(str, args)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
+def _assert_runs_without(module, command, config, out):
+    """Runs the command in a fresh interpreter and asserts that it never
+    imported `module`."""
     code = (
         "import sys\n"
         "from aperture_dof.cli import main\n"
         "assert main(sys.argv[1:]) == 0\n"
         f"assert {module!r} not in sys.modules, '{module} was imported'\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code, command,
-         "--config", str(root / "configs" / config), "--out", str(out)],
-        capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    proc = _fresh_python("-c", code, command, "--config", CONFIGS / config, "--out", out)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -621,6 +626,50 @@ def test_sbp_sweep_does_not_import_numpy_polynomial(tmp_path):
     # numpy.polynomial, about 4 ms and 0.6 MiB of start-up on a 2-vCPU VM,
     # only for Gauss-Legendre nodes that the sbp module computes itself
     _assert_runs_without("numpy.polynomial", "sbp-sweep", "tilt_sweep.cfg", tmp_path)
+
+
+def test_fresh_process_freezes_the_start_up_heap_and_exits_by_outcome(tmp_path):
+    # the import heap (about 22 000 objects with numpy) leaves the collections
+    # at interpreter exit only if main() froze it
+    code = (
+        "import gc, sys\n"
+        "from aperture_dof.cli import main\n"
+        "assert main(sys.argv[1:]) == 0\n"
+        "print(gc.get_freeze_count())\n"
+    )
+    proc = _fresh_python("-c", code, "sbp-sweep", "--config", CONFIGS / "tilt_sweep.cfg",
+                         "--out", tmp_path / "lib")
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout.splitlines()[-1]) >= 10_000
+
+    def run(command, config, out):
+        return _fresh_python("-m", "aperture_dof.cli", command, "--config", config, "--out", out)
+
+    proc = run("sbp-sweep", CONFIGS / "tilt_sweep.cfg", tmp_path / "ok")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{tmp_path / 'ok' / 'sbp_sweep.csv'}\n"
+
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("[geometry]\nL3 = 1cm\n")
+    proc = run("svd", bad, tmp_path / "bad")
+    assert proc.returncode == 2
+    assert proc.stderr == "config error: [geometry] L3: unknown key\n"
+
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    proc = run("kspace", write_config(tmp_path, NOMINAL), taken)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and "File exists" in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["sbp-sweep", "kspace", "fresnel"])
+def test_arch_is_rejected_by_commands_that_ignore_it(command, tmp_path, capsys):
+    cfg = write_config(tmp_path, NOMINAL)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(cfg), "--arch", "mono"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --arch mono" in capsys.readouterr().err
+    assert not (tmp_path / "results").exists()
 
 
 def test_unknown_command_rejected():

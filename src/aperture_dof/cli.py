@@ -142,24 +142,19 @@ def _parse_spacing(text: str, where: str, got: dict) -> int:
     return derived
 
 
-def _parse_analyses(text: str, where: str, *_) -> tuple:
-    items = _parse_list(text)
-    for item in items:
-        if item not in _ANALYSES:
-            raise ConfigError(f"{where}: unknown analysis {item!r}")
-    return items
-
-
-def _parse_methods(text: str, where: str, *_) -> tuple:
-    items = _parse_list(text)
-    if not items:
-        raise ConfigError(f"{where}: must name at least one method")
-    for i, item in enumerate(items):
-        if item not in ("pinv", "mf"):
-            raise ConfigError(f"{where}: unknown method {item!r}")
-        if item in items[:i]:
-            raise ConfigError(f"{where}: method {item!r} given twice")
-    return items
+def _name_list(noun: str, names: tuple):
+    """Parser of a comma list of distinct names, each one of `names`."""
+    def parse(text: str, where: str, *_) -> tuple:
+        items = _parse_list(text)
+        if not items:
+            raise ConfigError(f"{where}: must name at least one {noun}")
+        for i, item in enumerate(items):
+            if item not in names:
+                raise ConfigError(f"{where}: unknown {noun} {item!r}")
+            if item in items[:i]:
+                raise ConfigError(f"{where}: {noun} {item!r} given twice")
+        return items
+    return parse
 
 
 def _parse_sweep_param(text: str, where: str, *_) -> str:
@@ -196,14 +191,14 @@ _FIELDS = (
     ("run", "out_dir", "out_dir", lambda text, *_: text.strip()),
     ("run", "seed", "seed", _parse_int),
     ("run", "svg", "svg", _parse_bool),
-    ("run", "analyses", "analyses", _parse_analyses),
+    ("run", "analyses", "analyses", _name_list("analysis", _ANALYSES)),
     ("sweep", "param", "sweep_param", _parse_sweep_param),
     ("sweep", "values", "sweep_values", _parse_sweep_values),
     ("sweep", "include_fresnel", "sweep_include_fresnel", _parse_bool),
     ("sweep", "include_theta", "sweep_include_theta", _parse_bool),
     ("resolution", "n_targets", "res_n_targets", _parse_int),
     ("resolution", "oversample", "res_oversample", _parse_int),
-    ("resolution", "methods", "res_methods", _parse_methods),
+    ("resolution", "methods", "res_methods", _name_list("method", ("pinv", "mf"))),
     ("kspace", "point_u", "kspace_point_u", _parse_length),
 )
 
@@ -256,14 +251,21 @@ class ExperimentConfig:
     def validate(self):
         # each swept value must pass the same checks as the key it overrides
         param, unit = self.sweep_param, "rad" if self.sweep_param == "theta" else "m"
-        swept = [(replace(self, **{param: v}), f"[sweep] values: {param} = {v:.9g} {unit} breaks ")
-                 for v in self.sweep_values]
+        swept = [(cfg, f"[sweep] values: {param} = {v:.9g} {unit} breaks ")
+                 for v, cfg in self.sweep()]
         for cfg, prefix in [(self, ""), *swept]:
             for is_bad, message in _RANGE_CHECKS:
                 if is_bad(cfg):
                     raise ConfigError(prefix + message)
         if abs(self.kspace_point_u) > self.L2 / 2.0:
             raise ConfigError("[kspace] point_u: outside the scene segment")
+
+    def sweep(self) -> list:
+        """(value, this config with the [sweep] param set to value) for each
+        [sweep] value, in order: the one sweep driver, for validate() and
+        every command that sweeps.  Sweep parameters are named after the
+        attributes they override."""
+        return [(v, replace(self, **{self.sweep_param: v})) for v in self.sweep_values]
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
@@ -420,10 +422,9 @@ def cmd_svd(cfg: ExperimentConfig, out: Path, archs: tuple) -> list:
 
 
 def cmd_sbp_sweep(cfg: ExperimentConfig, out: Path) -> list:
-    param, values = cfg.sweep_param, cfg.sweep_values
-    if not param or not len(values):
+    if not cfg.sweep_param or not cfg.sweep_values:
         raise ConfigError("[sweep] param/values: required for sbp-sweep")
-    _parse_sweep_param(param, "[sweep] param")
+    _parse_sweep_param(cfg.sweep_param, "[sweep] param")
 
     wave = cfg.wave()
     header = ["param_value", "sbp"]
@@ -435,9 +436,7 @@ def cmd_sbp_sweep(cfg: ExperimentConfig, out: Path) -> list:
     rows = []
     # theta_max ignores the tilt, so a theta sweep needs it only once
     best_tilt = {}
-    for value in values:
-        # sweep parameters are named after the attributes they override
-        at = replace(cfg, **{param: value})
+    for value, at in cfg.sweep():
         aperture, scene = at.aperture(), at.scene()
         row = [value, compute_sbp(scene, aperture, wave).value]
         if cfg.sweep_include_fresnel:
@@ -490,10 +489,10 @@ def cmd_kspace(cfg: ExperimentConfig, out: Path) -> list:
     ]
 
 
-def cmd_fresnel(cfg: ExperimentConfig, out: Path) -> list:
+def _fresnel_payload(cfg: ExperimentConfig) -> tuple:
+    """fresnel.json's payload and the effective aperture of one parallel
+    geometry, once its Fresnel-kernel equivalence check has passed."""
     wave = cfg.wave()
-    if cfg.theta != 0.0:
-        raise ConfigError("[geometry] theta: fresnel analysis needs a parallel scene")
     report = fresnel_equivalence_check(cfg.layout(MULTISTATIC), cfg.scene(), wave, cfg.n_scene)
     _check(
         report.max_rel_discrepancy["fresnel"] <= 1e-6,
@@ -513,12 +512,33 @@ def cmd_fresnel(cfg: ExperimentConfig, out: Path) -> list:
         "effective_aperture_size": int(eff.positions.size),
         "effective_aperture_total": eff.total,
     }
-    return [
+    return payload, eff
+
+
+def cmd_fresnel(cfg: ExperimentConfig, out: Path) -> list:
+    if cfg.theta != 0.0:
+        raise ConfigError("[geometry] theta: fresnel analysis needs a parallel scene")
+    if cfg.sweep_param == "theta":
+        raise ConfigError("[sweep] param: fresnel analysis needs a parallel scene, "
+                          "theta cannot be swept")
+    payload, eff = _fresnel_payload(cfg)
+    written = [
         _write_json(out / "fresnel.json", payload),
         _write_csv(out / "effective_aperture.csv",
                    ["position", "multiplicity"],
                    eff.positions, eff.multiplicities),
     ]
+    columns = ("fresnel_dof", "exact_kernel_max_rel_discrepancy",
+               "fresnel_kernel_max_rel_discrepancy")
+    rows = []
+    for value, at in cfg.sweep():
+        swept = _fresnel_payload(at)[0]
+        fields = {"fresnel_dof": swept["fresnel_dof"], **swept["equivalence"]}
+        rows.append([value, *(fields[c] for c in columns)])
+    if rows:
+        written.append(_write_csv(out / "fresnel_sweep.csv", ["param_value", *columns],
+                                  *zip(*rows)))
+    return written
 
 
 def cmd_resolution(cfg: ExperimentConfig, out: Path, archs: tuple) -> list:

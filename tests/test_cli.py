@@ -162,6 +162,8 @@ def test_every_shipped_config_loads(path):
          re.escape("[resolution] methods: must name at least one method")),
         ("[resolution]\nmethods = mf, mf\n",
          re.escape("[resolution] methods: method 'mf' given twice")),
+        ("[run]\nanalyses =\n", re.escape("[run] analyses: must name at least one analysis")),
+        ("[run]\nanalyses = svd, svd\n", re.escape("[run] analyses: analysis 'svd' given twice")),
         # not valid INI: configparser's own message, naming the line
         ("[geometry]\nlambda = 5mm\nlambda = 6mm\n",
          re.escape("[line  3]: option 'lambda' in section 'geometry' already exists")),
@@ -400,6 +402,29 @@ def test_fresnel_command(tmp_path):
     header, rows = read_csv(tmp_path / "results" / "effective_aperture.csv")
     assert header == ["position", "multiplicity"]
     assert sum(int(r[1]) for r in rows) == 24 * 24
+    # no [sweep] section, no fresnel_sweep.csv
+    assert sorted(p.name for p in (tmp_path / "results").iterdir()) == [
+        "effective_aperture.csv", "fresnel.json"]
+
+
+def test_fresnel_standoff_config(tmp_path):
+    assert main(["fresnel", "--config", str(CONFIGS / "fresnel_standoff.cfg"),
+                 "--out", str(tmp_path)]) == 0
+    header, rows = read_csv(tmp_path / "fresnel_sweep.csv")
+    assert header == ["param_value", "fresnel_dof", "exact_kernel_max_rel_discrepancy",
+                      "fresnel_kernel_max_rel_discrepancy"]
+    got = np.array(rows, dtype=float)
+    np.testing.assert_allclose(got[:, :3], [
+        [0.1, 60, 0.151344241], [0.2, 30, 0.14569581], [0.4, 15, 0.0273398359],
+        [0.8, 7.5, 0.00449720657], [1.6, 3.75, 0.000661805286], [3.2, 1.875, 0.000101442771],
+    ], rtol=1e-9)
+    # the exact kernel converges on the effective aperture as D grows; the
+    # Fresnel kernel matches it to rounding at every standoff
+    assert np.all(np.diff(got[:, 2]) < 0)
+    assert np.all(got[:, 3] <= 1e-12)
+    # 24 uniform elements: 47 pair midpoints with triangular redundancy
+    _, rows = read_csv(tmp_path / "effective_aperture.csv")
+    assert [int(r[1]) for r in rows] == [*range(1, 25), *range(23, 0, -1)]
 
 
 def test_fresnel_command_matches_one_check_per_kernel(tmp_path):
@@ -451,6 +476,11 @@ def test_fresnel_command_rejects_tilted_scene(tmp_path, capsys):
     cfg = write_config(tmp_path, body)
     assert main(["fresnel", "--config", str(cfg)]) == 2
     assert "parallel" in capsys.readouterr().err
+    # a theta sweep is refused before any work and writes nothing
+    out = tmp_path / "tilts"
+    assert main(["fresnel", "--config", str(CONFIGS / "tilt_sweep.cfg"), "--out", str(out)]) == 2
+    assert "[sweep] param" in capsys.readouterr().err
+    assert not any(out.iterdir())
 
 
 def test_resolution_command(tmp_path):

@@ -422,10 +422,6 @@ def cmd_svd(cfg: ExperimentConfig, out: Path, archs: tuple) -> list:
 
 
 def cmd_sbp_sweep(cfg: ExperimentConfig, out: Path) -> list:
-    if not cfg.sweep_param or not cfg.sweep_values:
-        raise ConfigError("[sweep] param/values: required for sbp-sweep")
-    _parse_sweep_param(cfg.sweep_param, "[sweep] param")
-
     wave = cfg.wave()
     header = ["param_value", "sbp"]
     if cfg.sweep_include_fresnel:
@@ -516,11 +512,6 @@ def _fresnel_payload(cfg: ExperimentConfig) -> tuple:
 
 
 def cmd_fresnel(cfg: ExperimentConfig, out: Path) -> list:
-    if cfg.theta != 0.0:
-        raise ConfigError("[geometry] theta: fresnel analysis needs a parallel scene")
-    if cfg.sweep_param == "theta":
-        raise ConfigError("[sweep] param: fresnel analysis needs a parallel scene, "
-                          "theta cannot be swept")
     payload, eff = _fresnel_payload(cfg)
     written = [
         _write_json(out / "fresnel.json", payload),
@@ -532,7 +523,8 @@ def cmd_fresnel(cfg: ExperimentConfig, out: Path) -> list:
                "fresnel_kernel_max_rel_discrepancy")
     rows = []
     for value, at in cfg.sweep():
-        swept = _fresnel_payload(at)[0]
+        # a swept value equal to the base reuses the base geometry's payload
+        swept = payload if at == cfg else _fresnel_payload(at)[0]
         fields = {"fresnel_dof": swept["fresnel_dof"], **swept["equivalence"]}
         rows.append([value, *(fields[c] for c in columns)])
     if rows:
@@ -588,6 +580,23 @@ def cmd_resolution(cfg: ExperimentConfig, out: Path, archs: tuple) -> list:
     return written
 
 
+def _check_command_config(cfg: ExperimentConfig, command: str) -> None:
+    """The config errors that only one command detects, raised before main
+    creates the output directory, so a refused run leaves nothing behind."""
+    if cfg.analyses is not None and command not in cfg.analyses:
+        raise ConfigError(f"[run] analyses: {command!r} not enabled in this config")
+    if command == "sbp-sweep":
+        if not cfg.sweep_param or not cfg.sweep_values:
+            raise ConfigError("[sweep] param/values: required for sbp-sweep")
+        _parse_sweep_param(cfg.sweep_param, "[sweep] param")
+    elif command == "fresnel":
+        if cfg.theta != 0.0:
+            raise ConfigError("[geometry] theta: fresnel analysis needs a parallel scene")
+        if cfg.sweep_param == "theta":
+            raise ConfigError("[sweep] param: fresnel analysis needs a parallel scene, "
+                              "theta cannot be swept")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="aperture-dof",
@@ -618,9 +627,7 @@ def main(argv: list | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = ExperimentConfig.from_file(args.config)
-        if cfg.analyses is not None and args.command not in cfg.analyses:
-            raise ConfigError(
-                f"[run] analyses: {args.command!r} not enabled in this config")
+        _check_command_config(cfg, args.command)
         out = Path(args.out if args.out else cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         if args.command == "svd":

@@ -33,6 +33,23 @@ def scene_g1():
     return SceneSegment(L2 / 2.0)
 
 
+@pytest.fixture
+def mirror_splits(monkeypatch):
+    """Shapes of the arrays whose values-only spectrum is split into even
+    and odd mirror blocks."""
+    import aperture_dof.operator as operator
+
+    shapes = []
+    split = operator._mirror_blocks
+
+    def recording(a):
+        shapes.append(a.shape)
+        return split(a)
+
+    monkeypatch.setattr(operator, "_mirror_blocks", recording)
+    return shapes
+
+
 def small_operator(architecture, n_elements=16, n_scene=40, theta=0.0, shift=0.0):
     """Desk-scale operator for fast unit tests; nominal geometry otherwise."""
     aperture = Aperture.centered(L1, D)

@@ -476,11 +476,46 @@ def test_fresnel_command_rejects_tilted_scene(tmp_path, capsys):
     cfg = write_config(tmp_path, body)
     assert main(["fresnel", "--config", str(cfg)]) == 2
     assert "parallel" in capsys.readouterr().err
-    # a theta sweep is refused before any work and writes nothing
+    # a theta sweep is refused before any work and creates nothing
     out = tmp_path / "tilts"
     assert main(["fresnel", "--config", str(CONFIGS / "tilt_sweep.cfg"), "--out", str(out)]) == 2
     assert "[sweep] param" in capsys.readouterr().err
-    assert not any(out.iterdir())
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, config", [("fresnel", "tilt_sweep.cfg"),
+                                             ("sbp-sweep", "nominal.cfg")])
+def test_config_error_found_by_the_command_creates_no_out_directory(command, config, tmp_path,
+                                                                     capsys):
+    # fresnel refuses a theta sweep, sbp-sweep a config without [sweep]: both
+    # exit 2 before main creates --out or any parent it would need
+    out = tmp_path / "new" / "out"
+    assert main([command, "--config", str(CONFIGS / config), "--out", str(out)]) == 2
+    assert "config error: [sweep]" in capsys.readouterr().err
+    assert not (tmp_path / "new").exists()
+
+
+def test_fresnel_sweep_runs_one_check_per_distinct_geometry(tmp_path, monkeypatch):
+    # fresnel_standoff.cfg sweeps D over 10..320 cm, 20 cm being the base: the
+    # base row reuses fresnel.json's check, so 6 checks serve 7 geometries
+    import aperture_dof.cli as cli
+
+    calls = []
+
+    def counting(array, scene, wave, n_scene):
+        calls.append((array.aperture.z_plane, n_scene))
+        return check(array, scene, wave, n_scene)
+
+    check = cli.fresnel_equivalence_check
+    monkeypatch.setattr(cli, "fresnel_equivalence_check", counting)
+    assert main(["fresnel", "--config", str(CONFIGS / "fresnel_standoff.cfg"),
+                 "--out", str(tmp_path)]) == 0
+    assert len(calls) == len(set(calls)) == 6
+    rows = read_csv(tmp_path / "fresnel_sweep.csv")[1]
+    base = json.loads((tmp_path / "fresnel.json").read_text())["equivalence"]
+    assert rows[1][0] == "0.2"
+    assert rows[1][2:] == ["%.9g" % base["exact_kernel_max_rel_discrepancy"],
+                           "%.9g" % base["fresnel_kernel_max_rel_discrepancy"]]
 
 
 def test_resolution_command(tmp_path):

@@ -22,7 +22,7 @@ from aperture_dof import (
     svd,
 )
 from aperture_dof.fresnel import _coalesce, _lattice_indices, fresnel_kernel_midpoint
-from aperture_dof.operator import _one_way_phases
+from aperture_dof.operator import _one_way_phases, _spectrum
 
 from conftest import LAM, L1, L2, D
 
@@ -313,11 +313,32 @@ def test_effective_side_kernel_is_one_fresnel_leg_at_twice_k(shift):
     leg = _one_way_phases(x, points, -D, 2.0 * wave.k, "fresnel")
     mid = fresnel_kernel_midpoint(x[:, None], x[:, None], points[None, :, 0], D, wave)
     np.testing.assert_array_equal(leg, mid)
-    # and the check decomposes exactly that kernel, row-scaled
+    # and the check decomposes exactly that kernel, row-scaled, through the
+    # package's spectrum routine (which splits the mirror-symmetric shift 0
+    # into even and odd blocks), to rounding of numpy's whole SVD
     scale = np.sqrt(report.effective.multiplicities * layout.tx_weight * layout.rx_weight)
+    np.testing.assert_array_equal(
+        report.sigma_effective,
+        _spectrum((mid * scale[:, None],), scene.length / 50, vectors=False).singular_values)
     dense = mid * scale[:, None] * np.sqrt(scene.length / 50)
-    np.testing.assert_array_equal(report.sigma_effective,
-                                  np.linalg.svd(dense, compute_uv=False))
+    sigma = np.linalg.svd(dense, compute_uv=False)
+    np.testing.assert_allclose(report.sigma_effective, sigma, rtol=0,
+                               atol=64 * np.finfo(float).eps * sigma[0])
+
+
+def test_only_mirror_symmetric_sides_split(mirror_splits):
+    # a uniform layout's effective side (47 x 80) and both pair sides (the
+    # 80 x 80 Gram of 576 rows) split; off-centre lattice trains like
+    # acceptance criterion 8's split none of the three
+    wave, scene = WaveContext(LAM), SceneSegment(L2 / 2)
+    fresnel_equivalence_check(_layout(), scene, wave, n_scene=80)
+    assert mirror_splits == [(47, 80), (80, 80), (80, 80)]
+    rng = np.random.default_rng(50)
+    tx, rx = (np.unique(rng.integers(-30, 31, 9)) * 0.0025 for _ in range(2))
+    layout = ArrayLayout(MULTISTATIC, tx, rx, Aperture.centered(L1, 1.0),
+                         L1 / tx.size, L1 / rx.size)
+    fresnel_equivalence_check(layout, scene, wave, n_scene=80)
+    assert len(mirror_splits) == 3
 
 
 @pytest.mark.parametrize("n_elements, n_scene", [(24, 80), (6, 15)])

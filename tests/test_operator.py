@@ -23,11 +23,15 @@ from aperture_dof import (
     svd,
 )
 from aperture_dof.operator import (
+    _MIRROR_ROWS,
     _POINT_BLOCK,
     _RITZ_FLOOR,
     _RITZ_START,
     _factored_gram,
+    _is_mirror_symmetric,
+    _mirror_blocks,
     _one_way_phases,
+    _spectrum,
     adjoint_to_points,
 )
 
@@ -370,6 +374,106 @@ def test_values_only_svd_matches_the_full_decomposition(arch, n_elements, n_scen
     data = op.forward(random_gamma(np.random.default_rng(0), n_scene))
     with pytest.raises(ValueError):
         reconstruct_pinv(op, data, 3, spectrum=values)
+
+
+def _general_route(op):
+    """The values-only spectrum of op as _spectrum takes it without the
+    mirror split: eigvalsh of the factored Gram for a tall multistatic
+    operator, the values-only SVD of the dense matrix otherwise."""
+    if len(op.factors) == 2 and op.shape[0] > 4 * op.shape[1]:
+        evals = np.linalg.eigvalsh(_factored_gram(*op.factors, op.col_weight))
+        return np.sqrt(np.clip(evals[::-1], 0.0, None))
+    return np.linalg.svd(op.matrix, compute_uv=False)
+
+
+@pytest.mark.parametrize("m, n", [(10, 8), (11, 8), (10, 9), (11, 9)])
+def test_mirror_split_matches_the_whole_solve(m, n, mirror_splits):
+    # a random centrosymmetric (m, n), all four parity combinations: its even
+    # block is ceil x ceil, its odd one floor x floor, and together they
+    # hold the values of the whole matrix on both values-only routes
+    rng = np.random.default_rng(m * n)
+    a = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+    a += a[::-1, ::-1].copy()
+    even, odd = _mirror_blocks(a)
+    assert even.shape == ((m + 1) // 2, (n + 1) // 2)
+    assert odd.shape == (m // 2, n // 2)
+    whole = np.linalg.svd(a, compute_uv=False)
+    split = _spectrum((a,), 1.0, vectors=False).singular_values
+    np.testing.assert_allclose(split, whole, rtol=0, atol=1e-14 * whole[0])
+    # (a, a): a Khatri-Rao product of m^2 > 4 n rows, whose n x n Gram splits
+    whole = np.sqrt(np.linalg.eigvalsh(_factored_gram(a, a, 1.0))[::-1])
+    split = _spectrum((a, a), 1.0, vectors=False).singular_values
+    np.testing.assert_allclose(split, whole, rtol=0, atol=1e-14 * whole[0])
+    assert mirror_splits == [(m, n), (n, n)]
+
+
+def _mirrored_tx_rx_operator(n_tx, n_rx, n_scene):
+    # distinct Tx and Rx tables, each a uniform train centred on the aperture
+    ap = Aperture.centered(L1, D)
+    tx, rx = (ArrayLayout.uniform(ap, n, MULTISTATIC).tx_positions for n in (n_tx, n_rx))
+    layout = ArrayLayout(MULTISTATIC, tx, rx, ap, L1 / n_tx, L1 / n_rx)
+    return build_operator(SceneSegment(L2 / 2.0), layout, WaveContext(LAM), n_scene)
+
+
+_MIRRORED_LAYOUTS = {
+    "mono": (lambda: small_operator(MONOSTATIC, n_elements=24, n_scene=47), (24, 47)),
+    "multi_shared": (lambda: small_operator(MULTISTATIC, n_elements=12, n_scene=30), (30, 30)),
+    "tx_rx_direct": (lambda: _mirrored_tx_rx_operator(6, 5, 16), (30, 16)),
+    "tx_rx_gram": (lambda: _mirrored_tx_rx_operator(12, 9, 15), (15, 15)),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(_MIRRORED_LAYOUTS))
+def test_mirror_symmetric_operators_split_and_match_a_dense_svd(layout, mirror_splits):
+    build, split_shape = _MIRRORED_LAYOUTS[layout]
+    op = build()
+    values = svd(op, vectors=False)
+    assert mirror_splits == [split_shape]
+    dense = np.linalg.svd(op.matrix, compute_uv=False)
+    assert values.singular_values.size == dense.size
+    np.testing.assert_allclose(values.singular_values ** 2, dense ** 2,
+                               rtol=0, atol=1e-13 * dense[0] ** 2)
+    assert values.hs_norm_sq == svd(op).hs_norm_sq
+    # the vector routes never split
+    svd(op)
+    svd(op, leading=True)
+    assert len(mirror_splits) == 1
+
+
+def _criterion_8_operator(n_scene):
+    # off-centre lattice trains like acceptance criterion 8's
+    rng = np.random.default_rng(50)
+    tx, rx = (np.unique(rng.integers(-30, 31, 9)) * 0.0025 for _ in range(2))
+    layout = ArrayLayout(MULTISTATIC, tx, rx, Aperture.centered(L1, 1.0),
+                         L1 / tx.size, L1 / rx.size)
+    return build_operator(SceneSegment(L2 / 2.0), layout, WaveContext(LAM), n_scene)
+
+
+_ASYMMETRIC_LAYOUTS = {
+    "trains_direct": lambda: _criterion_8_operator(40),
+    "trains_gram": lambda: _criterion_8_operator(12),
+    "shifted_mono": lambda: small_operator(MONOSTATIC, n_elements=24, n_scene=48, shift=0.03),
+    "shifted_multi": lambda: small_operator(MULTISTATIC, n_elements=12, n_scene=30, shift=0.03),
+    "tilted_mono": lambda: small_operator(MONOSTATIC, n_elements=24, n_scene=48, theta=0.5),
+    "tilted_multi": lambda: small_operator(MULTISTATIC, n_elements=12, n_scene=30, theta=0.5),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(_ASYMMETRIC_LAYOUTS))
+def test_asymmetric_operators_take_the_general_route(layout, mirror_splits):
+    op = _ASYMMETRIC_LAYOUTS[layout]()
+    values = svd(op, vectors=False)
+    assert mirror_splits == []
+    np.testing.assert_array_equal(values.singular_values, _general_route(op))
+
+
+def test_mirror_detection_and_blocks_allocate_no_full_size_array():
+    f = small_operator(MULTISTATIC, n_elements=200, n_scene=400).factors[0]
+    assert _is_mirror_symmetric(f)
+    assert _traced_peak(_is_mirror_symmetric, f) < 3 * _MIRROR_ROWS * f[0].nbytes
+    # three quarter-size arrays: the quadrant sums and the even block
+    gram = _factored_gram(f, f, 1.0)
+    assert _traced_peak(_mirror_blocks, gram) < 0.8 * gram.nbytes
 
 
 def test_left_vectors_orthonormal_and_consistent():

@@ -1,10 +1,12 @@
 """Command-line front end: config parsing, analysis commands, file outputs.
 
 Subcommands: svd, sbp-sweep, kspace, fresnel, resolution.  Each reads a
-sectioned key = value config file (units accepted on lengths and angles),
-writes CSV tables (canonical) and, for svd, an optional SVG plot.  Exit
-code 0 only when every requested analysis completed and the built-in
-consistency checks passed; config errors exit 2 and name the offending key.
+sectioned key = value config file (units accepted on lengths and angles)
+and returns its outputs as {file name: text}: CSV tables (canonical) and,
+for svd, an optional SVG plot.  main writes them only once the command has
+returned, so exit code 0 means every requested analysis completed and the
+built-in consistency checks passed, and a run that exits 1 or 2 writes no
+file.  Config errors exit 2 and name the offending key.
 """
 
 from __future__ import annotations
@@ -324,19 +326,17 @@ class ExperimentConfig:
         return ArrayLayout.uniform(self.aperture(), self.n_elements, architecture)
 
 
-def _write_csv(path: Path, header: list, *columns) -> Path:
+def _csv(header: list, *columns) -> str:
     """CSV of equal-length columns: integer and bool columns as %d, the
     rest as %.9g."""
     columns = [np.asarray(c) for c in columns]
     line = ",".join("%d" if c.dtype.kind in "biu" else "%.9g" for c in columns)
     rows = (line % row for row in zip(*(c.tolist() for c in columns)))
-    path.write_text("\n".join([",".join(header), *rows]) + "\n")
-    return path
+    return "\n".join([",".join(header), *rows]) + "\n"
 
 
-def _write_json(path: Path, payload: dict) -> Path:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    return path
+def _json(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def _arch_token(architecture: str) -> str:
@@ -357,15 +357,16 @@ def _geometry_payload(cfg: ExperimentConfig) -> dict:
 
 
 def _check(condition: bool, message: str):
-    """Internal consistency check; failures make the command exit nonzero."""
+    """Internal consistency check; a failure makes the run exit 1 before
+    main writes any file."""
     if not condition:
         raise RuntimeError(f"internal consistency check failed: {message}")
 
 
-def cmd_svd(cfg: ExperimentConfig, out: Path, archs: tuple) -> list:
+def cmd_svd(cfg: ExperimentConfig, archs: tuple) -> dict:
     wave, aperture, scene = cfg.wave(), cfg.aperture(), cfg.scene()
     sbp_res = compute_sbp(scene, aperture, wave)
-    written = []
+    files = {}
     arch_payload = {}
     svg_series = []
     for arch in archs:
@@ -380,11 +381,10 @@ def cmd_svd(cfg: ExperimentConfig, out: Path, archs: tuple) -> list:
             f"{arch} operator norm deviates from the analytic value",
         )
         token = _arch_token(arch)
-        written.append(_write_csv(
-            out / f"svd_{token}.csv",
+        files[f"svd_{token}.csv"] = _csv(
             ["index", "sigma", "sigma_normalized"],
             np.arange(1, sig.size + 1), sig, sig / sig[0],
-        ))
+        )
         arch_payload[token] = {
             "sigma_bar": sigma_bar(spectrum),
             "sigma_bar_sq": sigma_bar_sq(spectrum),
@@ -405,9 +405,9 @@ def cmd_svd(cfg: ExperimentConfig, out: Path, archs: tuple) -> list:
         "fresnel_dof": fresnel_dof(cfg.L1, cfg.L2, cfg.D, cfg.wavelength),
         "architectures": arch_payload,
     }
-    written.append(_write_json(out / "dof.json", payload))
+    files["dof.json"] = _json(payload)
     if cfg.svg:
-        doc = _svg.plot_lines(
+        files["svd.svg"] = _svg.plot_lines(
             svg_series,
             title="Normalized singular values",
             xlabel="index",
@@ -415,13 +415,10 @@ def cmd_svd(cfg: ExperimentConfig, out: Path, archs: tuple) -> list:
             vlines=[(sbp_res.value, f"SBP = {sbp_res.value:.1f}")],
             y_floor=1e-10,
         )
-        svg_path = out / "svd.svg"
-        svg_path.write_text(doc)
-        written.append(svg_path)
-    return written
+    return files
 
 
-def cmd_sbp_sweep(cfg: ExperimentConfig, out: Path) -> list:
+def cmd_sbp_sweep(cfg: ExperimentConfig) -> dict:
     wave = cfg.wave()
     header = ["param_value", "sbp"]
     if cfg.sweep_include_fresnel:
@@ -444,10 +441,10 @@ def cmd_sbp_sweep(cfg: ExperimentConfig, out: Path) -> list:
                 best_tilt[key] = theta_max(scene, aperture, wave)
             row.append(best_tilt[key])
         rows.append(row)
-    return [_write_csv(out / "sbp_sweep.csv", header, *zip(*rows))]
+    return {"sbp_sweep.csv": _csv(header, *zip(*rows))}
 
 
-def cmd_kspace(cfg: ExperimentConfig, out: Path) -> list:
+def cmd_kspace(cfg: ExperimentConfig) -> dict:
     wave, aperture, scene = cfg.wave(), cfg.aperture(), cfg.scene()
     point = scene.point(cfg.kspace_point_u)
     n = cfg.kspace_samples
@@ -477,12 +474,12 @@ def cmd_kspace(cfg: ExperimentConfig, out: Path) -> list:
     if bad.size:
         raise ValueError(f"bandwidth B = {b[bad[0]]:.9g} <= 0 at u = {u_grid[bad[0]]:.9g} m: "
                          "the scene is too large for its reciprocal to be meaningful")
-    return [
-        _write_csv(out / "kspace_mono.csv", ["kx", "kz"], *mono_pts.T),
-        _write_csv(out / "kspace_multi.csv", ["kx", "kz"], *multi_out.T),
-        _write_csv(out / "bandwidth.csv", ["u", "x", "z", "bandwidth", "reciprocal"],
-                   u_grid, *pts.T, b, 1.0 / b),
-    ]
+    return {
+        "kspace_mono.csv": _csv(["kx", "kz"], *mono_pts.T),
+        "kspace_multi.csv": _csv(["kx", "kz"], *multi_out.T),
+        "bandwidth.csv": _csv(["u", "x", "z", "bandwidth", "reciprocal"],
+                              u_grid, *pts.T, b, 1.0 / b),
+    }
 
 
 def _fresnel_payload(cfg: ExperimentConfig) -> tuple:
@@ -511,14 +508,13 @@ def _fresnel_payload(cfg: ExperimentConfig) -> tuple:
     return payload, eff
 
 
-def cmd_fresnel(cfg: ExperimentConfig, out: Path) -> list:
+def cmd_fresnel(cfg: ExperimentConfig) -> dict:
     payload, eff = _fresnel_payload(cfg)
-    written = [
-        _write_json(out / "fresnel.json", payload),
-        _write_csv(out / "effective_aperture.csv",
-                   ["position", "multiplicity"],
-                   eff.positions, eff.multiplicities),
-    ]
+    files = {
+        "fresnel.json": _json(payload),
+        "effective_aperture.csv": _csv(["position", "multiplicity"],
+                                       eff.positions, eff.multiplicities),
+    }
     columns = ("fresnel_dof", "exact_kernel_max_rel_discrepancy",
                "fresnel_kernel_max_rel_discrepancy")
     rows = []
@@ -528,30 +524,22 @@ def cmd_fresnel(cfg: ExperimentConfig, out: Path) -> list:
         fields = {"fresnel_dof": swept["fresnel_dof"], **swept["equivalence"]}
         rows.append([value, *(fields[c] for c in columns)])
     if rows:
-        written.append(_write_csv(out / "fresnel_sweep.csv", ["param_value", *columns],
-                                  *zip(*rows)))
-    return written
+        files["fresnel_sweep.csv"] = _csv(["param_value", *columns], *zip(*rows))
+    return files
 
 
-def cmd_resolution(cfg: ExperimentConfig, out: Path, archs: tuple) -> list:
+def cmd_resolution(cfg: ExperimentConfig, archs: tuple) -> dict:
     wave, aperture, scene = cfg.wave(), cfg.aperture(), cfg.scene()
-    written = []
-    curves = {}
-    for arch in archs:
-        curve = resolution_sweep(
+    curves = {
+        arch: resolution_sweep(
             scene, wave, cfg.layout(arch),
             methods=cfg.res_methods,
             n_scene=cfg.n_scene,
             n_targets=cfg.res_n_targets,
             oversample=cfg.res_oversample,
         )
-        curves[arch] = curve
-        token = _arch_token(arch)
-        for method in cfg.res_methods:
-            mags = np.abs(curve.profiles[method])
-            header = ["u"] + [f"scat_{p:.9g}" for p in curve.positions]
-            written.append(_write_csv(
-                out / f"psf_{method}_{token}.csv", header, curve.profile_coords, *mags.T))
+        for arch in archs
+    }
 
     # independent 1/B reference: B = (2/lambda) * the spread of the
     # element-to-point unit vectors of a densely sampled aperture, projected
@@ -567,6 +555,14 @@ def cmd_resolution(cfg: ExperimentConfig, out: Path, archs: tuple) -> list:
         "reciprocal bandwidth column deviates from the aperture-sampled reference",
     )
 
+    # formatted after the check: its temporaries and the tables' text would add up at the peak
+    files = {}
+    for arch, curve in curves.items():
+        header = ["u"] + [f"scat_{p:.9g}" for p in curve.positions]
+        for method in cfg.res_methods:
+            files[f"psf_{method}_{_arch_token(arch)}.csv"] = _csv(
+                header, curve.profile_coords, *np.abs(curve.profiles[method]).T)
+
     header = ["position", "reciprocal_bandwidth"]
     cols = [first.positions, first.reciprocal_bandwidth]
     for arch in archs:
@@ -576,19 +572,18 @@ def cmd_resolution(cfg: ExperimentConfig, out: Path, archs: tuple) -> list:
             cols.append(curves[arch].widths[method])
             header.append(f"flag_{method}_{token}")
             cols.append(curves[arch].flagged[method])
-    written.append(_write_csv(out / "resolution.csv", header, *cols))
-    return written
+    files["resolution.csv"] = _csv(header, *cols)
+    return files
 
 
 def _check_command_config(cfg: ExperimentConfig, command: str) -> None:
-    """The config errors that only one command detects, raised before main
-    creates the output directory, so a refused run leaves nothing behind."""
+    """The config errors that only one command detects, raised before the
+    command computes anything."""
     if cfg.analyses is not None and command not in cfg.analyses:
         raise ConfigError(f"[run] analyses: {command!r} not enabled in this config")
     if command == "sbp-sweep":
         if not cfg.sweep_param or not cfg.sweep_values:
             raise ConfigError("[sweep] param/values: required for sbp-sweep")
-        _parse_sweep_param(cfg.sweep_param, "[sweep] param")
     elif command == "fresnel":
         if cfg.theta != 0.0:
             raise ConfigError("[geometry] theta: fresnel analysis needs a parallel scene")
@@ -628,26 +623,29 @@ def main(argv: list | None = None) -> int:
     try:
         cfg = ExperimentConfig.from_file(args.config)
         _check_command_config(cfg, args.command)
+        if args.command == "svd":
+            files = cmd_svd(cfg, cfg.architectures(args.arch))
+        elif args.command == "sbp-sweep":
+            files = cmd_sbp_sweep(cfg)
+        elif args.command == "kspace":
+            files = cmd_kspace(cfg)
+        elif args.command == "fresnel":
+            files = cmd_fresnel(cfg)
+        else:
+            files = cmd_resolution(cfg, cfg.architectures(args.arch))
+        # every check has passed: the one place that writes files
         out = Path(args.out if args.out else cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        if args.command == "svd":
-            files = cmd_svd(cfg, out, cfg.architectures(args.arch))
-        elif args.command == "sbp-sweep":
-            files = cmd_sbp_sweep(cfg, out)
-        elif args.command == "kspace":
-            files = cmd_kspace(cfg, out)
-        elif args.command == "fresnel":
-            files = cmd_fresnel(cfg, out)
-        else:
-            files = cmd_resolution(cfg, out, cfg.architectures(args.arch))
+        for name, text in files.items():
+            (out / name).write_text(text)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError, MemoryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    for f in files:
-        print(f)
+    for name in files:
+        print(out / name)
     return 0
 
 

@@ -102,6 +102,9 @@ class SceneSegment:
     shift: float = 0.0
 
     def __post_init__(self):
+        for name in ("half_length", "theta", "shift"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.half_length < 0.0:
             raise ValueError(f"half_length must be >= 0, got {self.half_length}")
         if abs(self.theta) > 0.5 * math.pi + 1e-12:

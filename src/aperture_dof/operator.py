@@ -101,6 +101,12 @@ class ArrayLayout:
         object.__setattr__(self, "rx_positions", rx)
         if tx.size == 0 or rx.size == 0:
             raise ValueError("array must have at least one element")
+        # NaN would pass every range check below
+        for name, value in (("tx_positions", tx), ("rx_positions", rx),
+                            ("tx_weight", self.tx_weight), ("rx_weight", self.rx_weight)):
+            bad = np.asarray(value)[~np.isfinite(value)]
+            if bad.size:
+                raise ValueError(f"{name} must be finite, got {bad.flat[0]}")
         lo, hi = self.aperture.a1, self.aperture.a2
         for name, pos in (("tx", tx), ("rx", rx)):
             if pos.min() < lo - 1e-12 or pos.max() > hi + 1e-12:

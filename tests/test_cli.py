@@ -17,7 +17,7 @@ from aperture_dof import (
     theta_heu,
     theta_max,
 )
-from aperture_dof.cli import ConfigError, ExperimentConfig, _write_csv, main
+from aperture_dof.cli import ConfigError, ExperimentConfig, _csv, main
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -254,7 +254,7 @@ def test_csv_numbers_are_9_significant_digits(tmp_path):
         assert sigma == f"{float(sigma):.9g}"
 
 
-def test_csv_columns_print_each_value_as_the_scalar_format(tmp_path):
+def test_csv_columns_print_each_value_as_the_scalar_format():
     # one format per column: floats as f"{x:.9g}", integers and bools as %d,
     # special values and random bit patterns included
     rng = np.random.default_rng(0)
@@ -264,9 +264,9 @@ def test_csv_columns_print_each_value_as_the_scalar_format(tmp_path):
     floats = np.concatenate([special, bits.view(np.float64)])
     ints = rng.integers(-10**12, 10**12, floats.size)
     flags = rng.random(floats.size) < 0.5
-    path = _write_csv(tmp_path / "t.csv", ["f", "i", "b"], floats, ints, flags)
+    text = _csv(["f", "i", "b"], floats, ints, flags)
     expected = ["f,i,b"] + [f"{f:.9g},{i},{int(b)}" for f, i, b in zip(floats, ints, flags)]
-    assert path.read_text() == "\n".join(expected) + "\n"
+    assert text == "\n".join(expected) + "\n"
 
 
 def test_reruns_are_byte_identical(tmp_path):
@@ -387,7 +387,7 @@ def test_kspace_on_a_scene_beyond_the_bandwidth_exits_1_and_writes_nothing(tmp_p
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["kspace", "--config", str(path), "--out", str(out)]) == 1
-    assert list(out.iterdir()) == []
+    assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("error: bandwidth B = 0 <= 0 at u = -5e+299 m"), err
 
@@ -572,6 +572,58 @@ def test_resolution_g1_multistatic_widths(tmp_path, wave):
         ("width_mf_multi", curve.widths["mf"]),
     ):
         assert columns[name] == tuple(f"{v:.9g}" for v in values)
+
+
+# one config that every command accepts: fresnel and sbp-sweep sweep D
+ALL_COMMANDS = NOMINAL + (
+    "\n[sweep]\nparam = D\nvalues = 20cm, 40cm\n"
+    "\n[resolution]\nn_targets = 3\noversample = 2\n"
+)
+
+
+@pytest.mark.parametrize("command, files", [
+    ("svd", ["svd_mono.csv", "svd_multi.csv", "dof.json", "svd.svg"]),
+    ("sbp-sweep", ["sbp_sweep.csv"]),
+    ("kspace", ["kspace_mono.csv", "kspace_multi.csv", "bandwidth.csv"]),
+    ("fresnel", ["fresnel.json", "effective_aperture.csv", "fresnel_sweep.csv"]),
+    ("resolution", ["psf_pinv_mono.csv", "psf_mf_mono.csv", "psf_pinv_multi.csv",
+                    "psf_mf_multi.csv", "resolution.csv"]),
+])
+def test_stdout_lists_the_files_written_in_write_order(command, files, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main([command, "--config", str(write_config(tmp_path, ALL_COMMANDS)),
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines() == [str(out / name) for name in files]
+    assert sorted(p.name for p in out.iterdir()) == sorted(files)
+
+
+@pytest.mark.parametrize("command, failing, call", [
+    # svd_mono.csv is complete when the multistatic norm check fails
+    ("svd", "multistatic operator norm", 1),
+    # fresnel.json is complete when the 40 cm row fails; 20 cm reuses the base
+    ("fresnel", "effective-aperture equivalence", 2),
+    # all four PSF tables are computed before the 1/B check
+    ("resolution", "reciprocal bandwidth", 1),
+])
+def test_a_failed_check_writes_no_file(command, failing, call, tmp_path, monkeypatch, capsys):
+    import aperture_dof.cli as cli
+
+    true_check = cli._check
+    calls = []
+
+    def check(condition, message):
+        if failing in message:
+            calls.append(message)
+            condition = condition and len(calls) != call
+        true_check(condition, message)
+
+    monkeypatch.setattr(cli, "_check", check)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(write_config(tmp_path, ALL_COMMANDS)),
+                 "--out", str(out)]) == 1
+    assert len(calls) == call
+    assert capsys.readouterr().err.startswith("error: internal consistency check failed: ")
+    assert not out.exists()
 
 
 def test_out_of_memory_exits_1(tmp_path, monkeypatch, capsys):

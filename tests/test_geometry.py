@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aperture_dof import (
+    MONOSTATIC,
+    MULTISTATIC,
     Aperture,
+    ArrayLayout,
     SceneSegment,
     WaveContext,
     path_length,
@@ -78,6 +81,29 @@ def test_scene_validation():
         SceneSegment(0.05, theta=2.0)
     # right-angle tilt is the boundary case and stays legal
     SceneSegment(0.05, theta=0.5 * math.pi)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda ap: ArrayLayout(MONOSTATIC, [0.0, NAN], [0.0, NAN], ap, 0.01, 0.01), "tx_positions"),
+    (lambda ap: ArrayLayout(MULTISTATIC, [0.0, NAN], [0.0], ap, 0.01, 0.01), "tx_positions"),
+    (lambda ap: ArrayLayout(MULTISTATIC, [0.0], [NAN, 0.0], ap, 0.01, 0.01), "rx_positions"),
+    (lambda ap: ArrayLayout(MULTISTATIC, [0.0], [0.0], ap, NAN, 0.01), "tx_weight"),
+    (lambda ap: ArrayLayout(MULTISTATIC, [0.0], [0.0], ap, 0.01, INF), "rx_weight"),
+    (lambda ap: SceneSegment(NAN), "half_length"),
+    (lambda ap: SceneSegment(INF), "half_length"),
+    (lambda ap: SceneSegment(0.05, theta=NAN), "theta"),
+    (lambda ap: SceneSegment(0.05, shift=NAN), "shift"),
+    (lambda ap: SceneSegment(0.05, shift=-INF), "shift"),
+], ids=["mono-tx", "multi-tx", "multi-rx", "tx-weight", "rx-weight", "half-length-nan",
+        "half-length-inf", "theta", "shift-nan", "shift-inf"])
+def test_non_finite_inputs_are_rejected_by_name(build, field):
+    # every range check is false for NaN, and a NaN position turns the
+    # spectrum into NaNs whose knee is its full length
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        build(Aperture.centered(0.15, 0.2))
 
 
 @given(

@@ -1,6 +1,7 @@
 """Command-line front end: config parsing, analysis commands, file outputs.
 
-Subcommands: svd, sbp-sweep, kspace, fresnel, resolution.  Each reads a
+Subcommands: svd, sbp-sweep, kspace, fresnel, resolution, each declared
+once, as a row of _COMMANDS that main dispatches on.  Each reads a
 sectioned key = value config file (units accepted on lengths and angles)
 and returns its outputs as {file name: text}: CSV tables (canonical) and,
 for svd, an optional SVG plot.  main writes them only once the command has
@@ -110,14 +111,24 @@ def _parse_list(text: str, *_) -> tuple:
 
 
 _ARCH_TOKENS = {
-    "mono": MONOSTATIC,
-    "monostatic": MONOSTATIC,
-    "multi": MULTISTATIC,
-    "multistatic": MULTISTATIC,
-    "both": "both",
+    "mono": (MONOSTATIC,),
+    "monostatic": (MONOSTATIC,),
+    "multi": (MULTISTATIC,),
+    "multistatic": (MULTISTATIC,),
+    "both": (MONOSTATIC, MULTISTATIC),
 }
 
-_ANALYSES = ("svd", "sbp-sweep", "kspace", "fresnel", "resolution")
+# The command set: name -> (help, runs per architecture).  main runs
+# cmd_<name>, looked up when it runs; a per-architecture command takes
+# --arch and is passed the architectures to run (kspace and fresnel always
+# use both, sbp-sweep neither).
+_COMMANDS = {
+    "svd": ("singular-value spectrum, DoF estimators, dof.json", True),
+    "sbp-sweep": ("space-bandwidth product over a parameter sweep", False),
+    "kspace": ("k-space sample sets and per-point bandwidth", False),
+    "fresnel": ("Fresnel DoF and effective-aperture equivalence", False),
+    "resolution": ("PSF beamwidths against the 1/B benchmark", True),
+}
 
 _SWEEP_PARAMS = ("t", "D", "L2", "theta")
 
@@ -126,7 +137,7 @@ def _parse_architecture(text: str, where: str, *_) -> str:
     token = text.strip().lower()
     if token not in _ARCH_TOKENS:
         raise ConfigError(f"{where}: unknown value {text!r}")
-    return _ARCH_TOKENS[token]
+    return token
 
 
 def _parse_spacing(text: str, where: str, got: dict) -> int:
@@ -193,7 +204,7 @@ _FIELDS = (
     ("run", "out_dir", "out_dir", lambda text, *_: text.strip()),
     ("run", "seed", "seed", _parse_int),
     ("run", "svg", "svg", _parse_bool),
-    ("run", "analyses", "analyses", _name_list("analysis", _ANALYSES)),
+    ("run", "analyses", "analyses", _name_list("analysis", tuple(_COMMANDS))),
     ("sweep", "param", "sweep_param", _parse_sweep_param),
     ("sweep", "values", "sweep_values", _parse_sweep_values),
     ("sweep", "include_fresnel", "sweep_include_fresnel", _parse_bool),
@@ -315,12 +326,7 @@ class ExperimentConfig:
         return SceneSegment(self.L2 / 2.0, self.theta, self.t)
 
     def architectures(self, override: str | None = None) -> tuple:
-        token = override if override else self.architecture
-        if token in _ARCH_TOKENS:
-            token = _ARCH_TOKENS[token]
-        if token == "both":
-            return (MONOSTATIC, MULTISTATIC)
-        return (token,)
+        return _ARCH_TOKENS[override or self.architecture]
 
     def layout(self, architecture: str) -> ArrayLayout:
         return ArrayLayout.uniform(self.aperture(), self.n_elements, architecture)
@@ -419,6 +425,8 @@ def cmd_svd(cfg: ExperimentConfig, archs: tuple) -> dict:
 
 
 def cmd_sbp_sweep(cfg: ExperimentConfig) -> dict:
+    if not cfg.sweep_param or not cfg.sweep_values:
+        raise ConfigError("[sweep] param/values: required for sbp-sweep")
     wave = cfg.wave()
     header = ["param_value", "sbp"]
     if cfg.sweep_include_fresnel:
@@ -509,6 +517,11 @@ def _fresnel_payload(cfg: ExperimentConfig) -> tuple:
 
 
 def cmd_fresnel(cfg: ExperimentConfig) -> dict:
+    if cfg.theta != 0.0:
+        raise ConfigError("[geometry] theta: fresnel analysis needs a parallel scene")
+    if cfg.sweep_param == "theta":
+        raise ConfigError("[sweep] param: fresnel analysis needs a parallel scene, "
+                          "theta cannot be swept")
     payload, eff = _fresnel_payload(cfg)
     files = {
         "fresnel.json": _json(payload),
@@ -576,40 +589,17 @@ def cmd_resolution(cfg: ExperimentConfig, archs: tuple) -> dict:
     return files
 
 
-def _check_command_config(cfg: ExperimentConfig, command: str) -> None:
-    """The config errors that only one command detects, raised before the
-    command computes anything."""
-    if cfg.analyses is not None and command not in cfg.analyses:
-        raise ConfigError(f"[run] analyses: {command!r} not enabled in this config")
-    if command == "sbp-sweep":
-        if not cfg.sweep_param or not cfg.sweep_values:
-            raise ConfigError("[sweep] param/values: required for sbp-sweep")
-    elif command == "fresnel":
-        if cfg.theta != 0.0:
-            raise ConfigError("[geometry] theta: fresnel analysis needs a parallel scene")
-        if cfg.sweep_param == "theta":
-            raise ConfigError("[sweep] param: fresnel analysis needs a parallel scene, "
-                              "theta cannot be swept")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="aperture-dof",
         description="DoF, SBP, k-space and resolution analysis of 1D imaging arrays",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("svd", "singular-value spectrum, DoF estimators, dof.json"),
-        ("sbp-sweep", "space-bandwidth product over a parameter sweep"),
-        ("kspace", "k-space sample sets and per-point bandwidth"),
-        ("fresnel", "Fresnel DoF and effective-aperture equivalence"),
-        ("resolution", "PSF beamwidths against the 1/B benchmark"),
-    ):
+    for name, (help_text, per_arch) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="experiment config file")
         p.add_argument("--out", default=None, help="output directory")
-        # kspace and fresnel always use both architectures, sbp-sweep neither
-        if name in ("svd", "resolution"):
+        if per_arch:
             p.add_argument("--arch", default=None, choices=["mono", "multi", "both"],
                            help="architecture override")
     return parser
@@ -622,17 +612,12 @@ def main(argv: list | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = ExperimentConfig.from_file(args.config)
-        _check_command_config(cfg, args.command)
-        if args.command == "svd":
-            files = cmd_svd(cfg, cfg.architectures(args.arch))
-        elif args.command == "sbp-sweep":
-            files = cmd_sbp_sweep(cfg)
-        elif args.command == "kspace":
-            files = cmd_kspace(cfg)
-        elif args.command == "fresnel":
-            files = cmd_fresnel(cfg)
-        else:
-            files = cmd_resolution(cfg, cfg.architectures(args.arch))
+        if cfg.analyses is not None and args.command not in cfg.analyses:
+            raise ConfigError(f"[run] analyses: {args.command!r} not enabled in this config")
+        # looked up now, not stored in the table, so a wrapped cmd_* is the one run
+        run = globals()["cmd_" + args.command.replace("-", "_")]
+        per_arch = _COMMANDS[args.command][1]
+        files = run(cfg, cfg.architectures(args.arch)) if per_arch else run(cfg)
         # every check has passed: the one place that writes files
         out = Path(args.out if args.out else cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)

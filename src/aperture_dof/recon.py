@@ -276,9 +276,9 @@ def resolution_sweep(
     mainlobes are flagged, not dropped.
 
     PINV truncation keeps the -10 dB knee of the leading spectrum
-    (svd(op, leading=True)).  The complex fine-grid PSFs
-    are returned on the curve (profiles[method] has shape (n_fine,
-    n_targets)).
+    (svd(op, leading=True)), taken only when PINV is requested.  The
+    complex fine-grid PSFs are returned on the curve (profiles[method] has
+    shape (n_fine, n_targets)).
     """
     if not methods:
         raise ValueError("need at least one method")
@@ -291,8 +291,10 @@ def resolution_sweep(
         raise ValueError("oversample must be >= 1")
 
     op = build_operator(scene, array, wave, n_scene)
-    sp = svd(op, leading=True)
-    rank = dof_knee(sp)
+    sp = rank = None
+    if "pinv" in methods:
+        sp = svd(op, leading=True)
+        rank = dof_knee(sp)
 
     u_targets = np.linspace(-scene.half_length, scene.half_length, n_targets + 2)[1:-1]
     idx = np.round((u_targets - op.scene_u[0]) / op.col_weight).astype(int)

@@ -273,6 +273,10 @@ def test_pinv_psfs_take_only_the_leading_triplets(architecture, monkeypatch):
     resolution_sweep(scene, wave, layout, n_scene=n, n_targets=3, oversample=2)
     psf(n // 2, op, "pinv")
     assert calls and all(name == "eigh" and shape[0] < n for name, shape in calls), calls
+    # matched filtering alone takes no spectrum at all
+    calls.clear()
+    resolution_sweep(scene, wave, layout, methods=("mf",), n_scene=n, n_targets=3, oversample=2)
+    assert calls == []
 
 
 def test_multistatic_analysis_memory_does_not_scale_as_n_squared_times_n():

@@ -7,7 +7,9 @@ and returns its outputs as {file name: text}: CSV tables (canonical) and,
 for svd, an optional SVG plot.  main writes them only once the command has
 returned, so exit code 0 means every requested analysis completed and the
 built-in consistency checks passed, and a run that exits 1 or 2 writes no
-file.  Config errors exit 2 and name the offending key.
+file.  Each config key is declared once, with its section, default, parser
+and range checks, on the ExperimentConfig field it sets.  Config errors
+exit 2 and name the offending key.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import math
 import random
 import re
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -185,80 +187,57 @@ def _parse_sweep_values(text: str, where: str, got: dict) -> tuple:
     return tuple(parse(v, where) for v in _parse_list(text))
 
 
-# Every key the parser accepts, one row each, in parse order:
-# (section, key, ExperimentConfig attribute, parser).  Anything else is
-# rejected by name.  A parser takes (text, "[section] key", the values
-# parsed so far by attribute); only spacing and sweep values read those.
-_FIELDS = (
-    ("geometry", "lambda", "wavelength", _parse_length),
-    ("geometry", "L1", "L1", _parse_length),
-    ("geometry", "L2", "L2", _parse_length),
-    ("geometry", "D", "D", _parse_length),
-    ("geometry", "theta", "theta", _parse_angle),
-    ("geometry", "t", "t", _parse_length),
-    ("array", "architecture", "architecture", _parse_architecture),
-    ("array", "n_elements", "n_elements", _parse_int),
-    ("array", "spacing", "n_elements", _parse_spacing),
-    ("discretization", "n_scene", "n_scene", _parse_int),
-    ("discretization", "kspace_samples", "kspace_samples", _parse_int),
-    ("run", "out_dir", "out_dir", lambda text, *_: text.strip()),
-    ("run", "seed", "seed", _parse_int),
-    ("run", "svg", "svg", _parse_bool),
-    ("run", "analyses", "analyses", _name_list("analysis", tuple(_COMMANDS))),
-    ("sweep", "param", "sweep_param", _parse_sweep_param),
-    ("sweep", "values", "sweep_values", _parse_sweep_values),
-    ("sweep", "include_fresnel", "sweep_include_fresnel", _parse_bool),
-    ("sweep", "include_theta", "sweep_include_theta", _parse_bool),
-    ("resolution", "n_targets", "res_n_targets", _parse_int),
-    ("resolution", "oversample", "res_oversample", _parse_int),
-    ("resolution", "methods", "res_methods", _name_list("method", ("pinv", "mf"))),
-    ("kspace", "point_u", "kspace_point_u", _parse_length),
-)
-
-# Range checks in the order validate() applies them: (is_bad, message).
-_RANGE_CHECKS = (
-    (lambda c: c.wavelength <= 0.0, "[geometry] lambda: must be positive"),
-    (lambda c: c.L1 <= 0.0, "[geometry] L1: must be positive"),
-    (lambda c: c.L2 <= 0.0, "[geometry] L2: empty scene, must be positive"),
-    (lambda c: c.D <= 0.0, "[geometry] D: must be positive"),
-    (lambda c: abs(c.theta) > 0.5 * math.pi, "[geometry] theta: |theta| must be <= 90 deg"),
-    (lambda c: c.L2 / 2.0 * abs(math.sin(c.theta)) >= c.D,
-     "[geometry] theta: the tilted scene reaches the aperture plane, "
-     "(L2/2)|sin theta| must be < D"),
-    (lambda c: c.n_elements < 1, "[array] n_elements: must be >= 1"),
-    (lambda c: c.n_scene < 2, "[discretization] n_scene: must be >= 2"),
-    (lambda c: c.kspace_samples < 2, "[discretization] kspace_samples: must be >= 2"),
-    (lambda c: c.res_oversample < 1, "[resolution] oversample: must be >= 1"),
-    (lambda c: c.res_n_targets < 1, "[resolution] n_targets: must be >= 1"),
-)
+def _key(default, section: str, key: str, parse, *checks, also: tuple = ()):
+    """A field set by [section] key and by each (key, parser) in `also`.  A parser
+    takes (text, "[section] key", the values parsed so far by attribute; only
+    spacing and sweep values read them); a check is (is_bad(config), tail)."""
+    return field(default=default, metadata={
+        "section": section, "keys": ((key, parse), *also), "checks": checks})
 
 
 @dataclass
 class ExperimentConfig:
-    """Fully resolved experiment parameters (SI units, radians)."""
+    """Fully resolved experiment parameters (SI units, radians); fields in parse order."""
 
-    wavelength: float = 0.005
-    L1: float = 0.15
-    L2: float = 0.10
-    D: float = 0.20
-    theta: float = 0.0
-    t: float = 0.0
-    architecture: str = "both"
-    n_elements: int = 200
-    n_scene: int = 400
-    kspace_samples: int = 512
-    out_dir: str = "results"
-    seed: int = 0
-    svg: bool = True
-    analyses: tuple | None = None
-    sweep_param: str | None = None
-    sweep_values: tuple = ()
-    sweep_include_fresnel: bool = False
-    sweep_include_theta: bool = False
-    res_n_targets: int = 21
-    res_oversample: int = 4
-    res_methods: tuple = ("pinv", "mf")
-    kspace_point_u: float = 0.0
+    wavelength: float = _key(0.005, "geometry", "lambda", _parse_length,
+                             (lambda c: c.wavelength <= 0.0, "must be positive"))
+    L1: float = _key(0.15, "geometry", "L1", _parse_length,
+                     (lambda c: c.L1 <= 0.0, "must be positive"))
+    L2: float = _key(0.10, "geometry", "L2", _parse_length,
+                     (lambda c: c.L2 <= 0.0, "empty scene, must be positive"))
+    D: float = _key(0.20, "geometry", "D", _parse_length,
+                    (lambda c: c.D <= 0.0, "must be positive"))
+    theta: float = _key(
+        0.0, "geometry", "theta", _parse_angle,
+        (lambda c: abs(c.theta) > 0.5 * math.pi, "|theta| must be <= 90 deg"),
+        (lambda c: c.L2 / 2.0 * abs(math.sin(c.theta)) >= c.D,
+         "the tilted scene reaches the aperture plane, (L2/2)|sin theta| must be < D"))
+    t: float = _key(0.0, "geometry", "t", _parse_length)
+    architecture: str = _key("both", "array", "architecture", _parse_architecture)
+    n_elements: int = _key(200, "array", "n_elements", _parse_int,
+                           (lambda c: c.n_elements < 1, "must be >= 1"),
+                           also=(("spacing", _parse_spacing),))
+    n_scene: int = _key(400, "discretization", "n_scene", _parse_int,
+                        (lambda c: c.n_scene < 2, "must be >= 2"))
+    kspace_samples: int = _key(512, "discretization", "kspace_samples", _parse_int,
+                               (lambda c: c.kspace_samples < 2, "must be >= 2"))
+    out_dir: str = _key("results", "run", "out_dir", lambda text, *_: text.strip(),
+                        (lambda c: not c.out_dir, "must not be empty"))  # Path("") is the cwd
+    seed: int = _key(0, "run", "seed", _parse_int)
+    svg: bool = _key(True, "run", "svg", _parse_bool)
+    analyses: tuple | None = _key(None, "run", "analyses",
+                                  _name_list("analysis", tuple(_COMMANDS)))
+    sweep_param: str | None = _key(None, "sweep", "param", _parse_sweep_param)
+    sweep_values: tuple = _key((), "sweep", "values", _parse_sweep_values)
+    sweep_include_fresnel: bool = _key(False, "sweep", "include_fresnel", _parse_bool)
+    sweep_include_theta: bool = _key(False, "sweep", "include_theta", _parse_bool)
+    res_n_targets: int = _key(21, "resolution", "n_targets", _parse_int,
+                              (lambda c: c.res_n_targets < 1, "must be >= 1"))
+    res_oversample: int = _key(4, "resolution", "oversample", _parse_int,
+                               (lambda c: c.res_oversample < 1, "must be >= 1"))
+    res_methods: tuple = _key(("pinv", "mf"), "resolution", "methods",
+                              _name_list("method", ("pinv", "mf")))
+    kspace_point_u: float = _key(0.0, "kspace", "point_u", _parse_length)
     source: str = field(default="<defaults>", repr=False)
 
     def validate(self):
@@ -267,7 +246,7 @@ class ExperimentConfig:
         swept = [(cfg, f"[sweep] values: {param} = {v:.9g} {unit} breaks ")
                  for v, cfg in self.sweep()]
         for cfg, prefix in [(self, ""), *swept]:
-            for is_bad, message in _RANGE_CHECKS:
+            for is_bad, message in _CHECKS:
                 if is_bad(cfg):
                     raise ConfigError(prefix + message)
         if abs(self.kspace_point_u) > self.L2 / 2.0:
@@ -297,7 +276,7 @@ class ExperimentConfig:
         # configparser copies [DEFAULT] keys into every section
         if parser.defaults():
             raise ConfigError("[DEFAULT]: unknown section")
-        known = {(section, key) for section, key, _, _ in _FIELDS}
+        known = {(section, key) for section, key, _, _ in _KEYS}
         sections = {section for section, _ in known}
         for section in parser.sections():
             if section not in sections:
@@ -307,7 +286,7 @@ class ExperimentConfig:
                     raise ConfigError(f"[{section}] {key}: unknown key")
 
         got = {}
-        for section, key, attr, parse in _FIELDS:
+        for section, key, attr, parse in _KEYS:
             text = parser.get(section, key, fallback=None)
             if text is not None:
                 got[attr] = parse(text, f"[{section}] {key}", got)
@@ -330,6 +309,17 @@ class ExperimentConfig:
 
     def layout(self, architecture: str) -> ArrayLayout:
         return ArrayLayout.uniform(self.aperture(), self.n_elements, architecture)
+
+
+# Built once from the fields: every accepted key as (section, key, attribute,
+# parser) in parse order, and validate()'s range checks as (is_bad,
+# "[section] key: tail"), each named after the first key of its field.
+_KEYS = tuple((f.metadata["section"], key, f.name, parse)
+              for f in fields(ExperimentConfig) if f.metadata
+              for key, parse in f.metadata["keys"])
+_CHECKS = tuple((is_bad, f"[{f.metadata['section']}] {f.metadata['keys'][0][0]}: {tail}")
+                for f in fields(ExperimentConfig) if f.metadata
+                for is_bad, tail in f.metadata["checks"])
 
 
 def _csv(header: list, *columns) -> str:
@@ -534,8 +524,8 @@ def cmd_fresnel(cfg: ExperimentConfig) -> dict:
     for value, at in cfg.sweep():
         # a swept value equal to the base reuses the base geometry's payload
         swept = payload if at == cfg else _fresnel_payload(at)[0]
-        fields = {"fresnel_dof": swept["fresnel_dof"], **swept["equivalence"]}
-        rows.append([value, *(fields[c] for c in columns)])
+        by_column = {"fresnel_dof": swept["fresnel_dof"], **swept["equivalence"]}
+        rows.append([value, *(by_column[c] for c in columns)])
     if rows:
         files["fresnel_sweep.csv"] = _csv(["param_value", *columns], *zip(*rows))
     return files

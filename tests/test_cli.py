@@ -2,6 +2,7 @@ import json
 import math
 import re
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,35 @@ from aperture_dof.cli import ConfigError, ExperimentConfig, _csv, main
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
+SHIPPED_CONFIGS = sorted([*CONFIGS.glob("*.cfg"), *(ROOT / "perfbench" / "configs").glob("*.cfg")])
+
+# Every accepted key once: (section, key, value text, attribute, parsed value),
+# each value valid and different from the attribute's default
+CONFIG_KEYS = [
+    ("geometry", "lambda", "0.004", "wavelength", 0.004),
+    ("geometry", "L1", "0.12", "L1", 0.12),
+    ("geometry", "L2", "0.08", "L2", 0.08),
+    ("geometry", "D", "0.25", "D", 0.25),
+    ("geometry", "theta", "0.5rad", "theta", 0.5),
+    ("geometry", "t", "0.02", "t", 0.02),
+    ("array", "architecture", "multi", "architecture", "multi"),
+    ("array", "n_elements", "50", "n_elements", 50),
+    ("array", "spacing", "0.0015", "n_elements", 100),
+    ("discretization", "n_scene", "64", "n_scene", 64),
+    ("discretization", "kspace_samples", "32", "kspace_samples", 32),
+    ("run", "out_dir", "results/x", "out_dir", "results/x"),
+    ("run", "seed", "7", "seed", 7),
+    ("run", "svg", "off", "svg", False),
+    ("run", "analyses", "kspace, svd", "analyses", ("kspace", "svd")),
+    ("sweep", "param", "D", "sweep_param", "D"),
+    ("sweep", "values", "0.01, 0.02", "sweep_values", (0.01, 0.02)),
+    ("sweep", "include_fresnel", "yes", "sweep_include_fresnel", True),
+    ("sweep", "include_theta", "on", "sweep_include_theta", True),
+    ("resolution", "n_targets", "5", "res_n_targets", 5),
+    ("resolution", "oversample", "2", "res_oversample", 2),
+    ("resolution", "methods", "mf", "res_methods", ("mf",)),
+    ("kspace", "point_u", "0.02", "kspace_point_u", 0.02),
+]
 
 NOMINAL = """
 [geometry]
@@ -88,10 +118,41 @@ def test_radian_angles_and_spacing(tmp_path):
     assert cfg.n_elements == 200  # 0.15 / 0.00075
 
 
-@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.name)
 def test_every_shipped_config_loads(path):
     # outputs land under the ignored results/ tree
     assert ExperimentConfig.from_file(path).out_dir.startswith("results/")
+
+
+def test_accepted_keys_are_the_listed_ones():
+    # a dropped or renamed key fails here, not only in the configs that use it
+    listed = [(section, key) for section, key, *_ in CONFIG_KEYS]
+    assert len(set(listed)) == len(listed) == 23
+    assert {(section, key) for section, key, _, _ in cli._KEYS} == set(listed)
+
+
+@pytest.mark.parametrize("section,key,text,attr,expected", CONFIG_KEYS,
+                         ids=[f"{section}.{key}" for section, key, *_ in CONFIG_KEYS])
+def test_each_key_sets_its_attribute(tmp_path, section, key, text, attr, expected):
+    want = {attr: expected}
+    body = f"[{section}]\n{key} = {text}\n"
+    if key == "values":  # parsed as lengths or angles by the [sweep] param
+        body += "param = t\n"
+        want["sweep_param"] = "t"
+    path = tmp_path / "one.cfg"
+    path.write_text(body)
+    defaults = ExperimentConfig(source=str(path))
+    assert getattr(defaults, attr) != expected
+    assert ExperimentConfig.from_file(path) == replace(defaults, **want)
+
+
+def test_readme_config_example_names_every_key():
+    block = re.search(r"```ini\n(.*?)```", (ROOT / "README.md").read_text(), re.S).group(1)
+    # the text under each [section] header, comments included
+    sections = dict(re.findall(r"^\[(\w+)\][^\n]*\n(.*?)(?=^\[|\Z)", block, re.M | re.S))
+    missing = [f"[{section}] {key}" for section, key, _, _ in cli._KEYS
+               if not re.search(rf"(?<!\w){re.escape(key)} =", sections.get(section, ""))]
+    assert not missing
 
 
 @pytest.mark.parametrize(
@@ -166,6 +227,10 @@ def test_every_shipped_config_loads(path):
          re.escape("[resolution] methods: method 'mf' given twice")),
         ("[run]\nanalyses =\n", re.escape("[run] analyses: must name at least one analysis")),
         ("[run]\nanalyses = svd, svd\n", re.escape("[run] analyses: analysis 'svd' given twice")),
+        ("[run]\nout_dir =\n", re.escape("[run] out_dir: must not be empty")),
+        # checks run in field order: n_targets is declared before oversample
+        ("[resolution]\noversample = 0\nn_targets = 0\n",
+         re.escape("[resolution] n_targets: must be >= 1")),
         # not valid INI: configparser's own message, naming the line
         ("[geometry]\nlambda = 5mm\nlambda = 6mm\n",
          re.escape("[line  3]: option 'lambda' in section 'geometry' already exists")),

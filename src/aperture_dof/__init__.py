@@ -69,7 +69,6 @@ from .recon import (
     ResolutionCurve,
     UnresolvableProfileError,
     beamwidth_3db,
-    psf,
     reconstruct_mf,
     reconstruct_pinv,
     resolution_sweep,
@@ -114,7 +113,6 @@ __all__ = [
     "multi_spectrum",
     "path_length",
     "project_points_onto_line",
-    "psf",
     "reconstruct_mf",
     "reconstruct_pinv",
     "resolution_sweep",

@@ -48,7 +48,7 @@ from .operator import (
     svd,
 )
 from .recon import resolution_sweep
-from .sbp import compute_sbp, theta_heu, theta_max
+from .sbp import compute_sbp, sbp_closed_form_g1, theta_heu, theta_max
 
 
 class ConfigError(Exception):
@@ -483,8 +483,8 @@ def cmd_kspace(cfg: ExperimentConfig) -> dict:
 def _fresnel_payload(cfg: ExperimentConfig) -> tuple:
     """fresnel.json's payload and the effective aperture of one parallel
     geometry, once its Fresnel-kernel equivalence check has passed."""
-    wave = cfg.wave()
-    report = fresnel_equivalence_check(cfg.layout(MULTISTATIC), cfg.scene(), wave, cfg.n_scene)
+    report = fresnel_equivalence_check(
+        cfg.layout(MULTISTATIC), cfg.scene(), cfg.wave(), cfg.n_scene)
     _check(
         report.max_rel_discrepancy["fresnel"] <= 1e-6,
         "effective-aperture equivalence broken for the Fresnel kernel",
@@ -496,8 +496,7 @@ def _fresnel_payload(cfg: ExperimentConfig) -> tuple:
         "fresnel_dof": fresnel_dof(cfg.L1, cfg.L2, cfg.D, cfg.wavelength),
         "sbp_g3_fresnel_at_theta": sbp_g3_fresnel(
             cfg.L1, cfg.L2, cfg.D, cfg.wavelength, cfg.theta),
-        "sbp_closed_form_g1": compute_sbp(
-            SceneSegment(cfg.L2 / 2.0), cfg.aperture(), wave).value,
+        "sbp_closed_form_g1": sbp_closed_form_g1(cfg.L1, cfg.L2, cfg.D, cfg.wavelength),
         "equivalence": {f"{kernel}_kernel_max_rel_discrepancy": value
                         for kernel, value in report.max_rel_discrepancy.items()},
         "effective_aperture_size": int(eff.positions.size),
@@ -601,6 +600,9 @@ def main(argv: list | None = None) -> int:
     gc.freeze()
     args = build_parser().parse_args(argv)
     try:
+        if args.out == "":
+            # refused, as an empty [run] out_dir is, not taken as "no --out"
+            raise ConfigError("--out: must not be empty")
         cfg = ExperimentConfig.from_file(args.config)
         if cfg.analyses is not None and args.command not in cfg.analyses:
             raise ConfigError(f"[run] analyses: {args.command!r} not enabled in this config")
@@ -609,7 +611,7 @@ def main(argv: list | None = None) -> int:
         per_arch = _COMMANDS[args.command][1]
         files = run(cfg, cfg.architectures(args.arch)) if per_arch else run(cfg)
         # every check has passed: the one place that writes files
-        out = Path(args.out if args.out else cfg.out_dir)
+        out = Path(cfg.out_dir if args.out is None else args.out)
         out.mkdir(parents=True, exist_ok=True)
         for name, text in files.items():
             (out / name).write_text(text)

@@ -3,16 +3,18 @@
 Two reconstruction methods: truncated-SVD pseudoinverse (PINV), which for
 noiseless data projects the true reflectivity onto the kept right singular
 vectors, and the matched filter / back-propagation adjoint (MF), which
-weights the same projections by sigma^2.  Both start from one
-back-projection: of arbitrary data through DiscreteOperator.adjoint, on
-the operator's grid, and of point scatterers through one routine, _images,
-on the grid (oversample = 1) or a finer one, which streams blocks of image
-points through adjoint_to_points (monostatic images from the small data,
-multistatic ones from the factors' cross-Gram); PINV then applies the same
-V_r Sigma_r^-2 V_r^H filter.  PSFs keep the -10 dB knee, so they take only
-the leading singular triplets, by Rayleigh-Ritz (svd(op, leading=True)).
-Resolution is measured as the 3dB mainlobe width of point-scatterer PSFs
-and benchmarked against the reciprocal bandwidth 1/B.
+weights the same projections by sigma^2.  PINV applies the V_r Sigma_r^-2
+V_r^H filter to what MF back-projects.  Images are formed by two routines,
+one per kind of input.  reconstruct_mf and reconstruct_pinv image a
+measurement vector through DiscreteOperator.adjoint, on the operator's
+grid.  _images forms every point spread function: it images scene-side
+columns through adjoint_to_points, on the grid (oversample = 1) or a finer
+one, streaming blocks of image points (monostatic images from the small
+data, multistatic ones from the factors' cross-Gram), so the N^2-row
+multistatic data are never formed.  PSFs keep the -10 dB knee, so they take
+only the leading singular triplets, by Rayleigh-Ritz.  Resolution is
+measured as the 3dB mainlobe width of point-scatterer PSFs and benchmarked
+against the reciprocal bandwidth 1/B.
 """
 
 from __future__ import annotations
@@ -154,71 +156,38 @@ def reconstruct_mf(op: DiscreteOperator, data: np.ndarray) -> ImageProfile:
     return ImageProfile(coords=op.scene_u, values=g_w / math.sqrt(op.col_weight), method="mf")
 
 
-def _unit_scatterers(op: DiscreteOperator, indices) -> np.ndarray:
-    """Scene-side coefficient columns (n_scene, len(indices)) of unit
-    scatterers at scene grid samples: a delta of amplitude 1/col_weight,
-    which is sqrt(col_weight) / col_weight in weighted coordinates."""
+def _images(op: DiscreteOperator, idx, methods: tuple, oversample: int,
+            spectrum: SvdSpectrum | None = None) -> tuple:
+    """PSFs of unit scatterers at the scene grid samples idx: the fine grid
+    u, {method: (u.size, len(idx)) image} and the PINV rank (None without
+    "pinv").  The one place a PSF is formed.
+
+    A unit scatterer is a discrete delta of amplitude 1/col_weight,
+    matching the continuous unit-delta convention; in weighted coordinates
+    that is sqrt(col_weight) / col_weight.  The grid has oversample
+    midpoint samples per operator cell, so oversample = 1 is the operator's
+    own grid scene_u, bit for bit; a finer grid interpolates the same
+    band-limited image and adds no information.  MF images are adjoints of
+    the data A c; PINV images are adjoints of A V_r Sigma_r^-2 V_r^H c,
+    where r is the -10 dB dof_knee of spectrum, by default the leading
+    spectrum svd(op, leading=True).  Every column goes through one
+    adjoint_to_points call, which streams blocks of grid points.
+    """
     w = op.col_weight
-    coeffs = np.zeros((op.scene_u.size, len(indices)))
-    coeffs[indices, np.arange(len(indices))] = math.sqrt(w) / w
-    return coeffs
-
-
-def psf(
-    scene_point_index: int,
-    op: DiscreteOperator,
-    method: str,
-    oversample: int = 1,
-    spectrum: SvdSpectrum | None = None,
-) -> ImageProfile:
-    """Point spread function: image of a unit scatterer at one grid sample.
-
-    The input is a discrete delta of amplitude 1/(scene quadrature weight),
-    matching the continuous unit-delta convention.  oversample = 1 images
-    on the operator's own grid; oversample > 1 evaluates the same
-    band-limited image through the kernel on an oversample-times finer
-    grid, which interpolates it and adds no information.  Both go through
-    one routine (_images).
-
-    PINV keeps the -10 dB dof_knee of the spectrum, by default the leading
-    spectrum svd(op, leading=True).
-    """
-    if method not in ("pinv", "mf"):
-        raise ValueError(f"unknown method {method!r}")
-    if oversample < 1:
-        raise ValueError("oversample must be >= 1")
-    # an explicit check: a negative index would wrap around in the delta
-    if not (0 <= scene_point_index < op.scene_u.size):
-        raise ValueError(f"scene index {scene_point_index} outside grid of {op.scene_u.size}")
-    sp = (spectrum or svd(op, leading=True)) if method == "pinv" else None
-    rank = dof_knee(sp) if method == "pinv" else None
-    coords, images = _images(
-        op, sp, _unit_scatterers(op, [scene_point_index]), (method,), rank, oversample)
-    return ImageProfile(coords=coords, values=images[method][:, 0], method=method, rank=rank)
-
-
-def _images(op: DiscreteOperator, spectrum: SvdSpectrum | None, coeffs: np.ndarray,
-            methods: tuple, rank: int | None, oversample: int) -> tuple:
-    """Scene grid u and {method: (u.size, b) image} of the data op applies
-    to the scene-side coefficient columns coeffs (n_scene, b); the one place
-    an image of such data is formed.
-
-    The grid has oversample midpoint samples per operator cell, so
-    oversample = 1 is the operator's own grid scene_u, bit for bit.  MF
-    images are adjoints of the data A c; PINV images are adjoints of
-    A V_r Sigma_r^-2 V_r^H c.  Every column goes through one
-    adjoint_to_points call, which streams blocks of grid points, and the
-    N^2-row multistatic data are never formed.
-    """
-    u_fine = op.scene.midpoints(op.scene_u.size * oversample)
+    coeffs = np.zeros((op.scene_u.size, len(idx)))
+    coeffs[idx, np.arange(len(idx))] = math.sqrt(w) / w
     columns = {}
+    rank = None
     if "mf" in methods:
         columns["mf"] = coeffs
     if "pinv" in methods:
-        columns["pinv"] = _pinv_filter(spectrum, rank, coeffs)
+        sp = spectrum or svd(op, leading=True)
+        rank = dof_knee(sp)
+        columns["pinv"] = _pinv_filter(sp, rank, coeffs)
+    u_fine = op.scene.midpoints(op.scene_u.size * oversample)
     stacked = adjoint_to_points(op, np.hstack(list(columns.values())), op.scene.points(u_fine))
-    b = coeffs.shape[1]
-    return u_fine, {m: stacked[:, i * b:(i + 1) * b] for i, m in enumerate(columns)}
+    b = len(idx)
+    return u_fine, {m: stacked[:, i * b:(i + 1) * b] for i, m in enumerate(columns)}, rank
 
 
 def beamwidth_3db(profile: ImageProfile) -> float:
@@ -275,10 +244,10 @@ def resolution_sweep(
     bandwidth of the array's aperture at the same points.  Edge-clipped
     mainlobes are flagged, not dropped.
 
-    PINV truncation keeps the -10 dB knee of the leading spectrum
-    (svd(op, leading=True)), taken only when PINV is requested.  The
-    complex fine-grid PSFs are returned on the curve (profiles[method] has
-    shape (n_fine, n_targets)).
+    PINV truncation keeps the -10 dB knee of the leading spectrum, which
+    _images takes only when PINV is requested.  The complex fine-grid PSFs
+    are returned on the curve (profiles[method] has shape (n_fine,
+    n_targets)).
     """
     if not methods:
         raise ValueError("need at least one method")
@@ -291,11 +260,6 @@ def resolution_sweep(
         raise ValueError("oversample must be >= 1")
 
     op = build_operator(scene, array, wave, n_scene)
-    sp = rank = None
-    if "pinv" in methods:
-        sp = svd(op, leading=True)
-        rank = dof_knee(sp)
-
     u_targets = np.linspace(-scene.half_length, scene.half_length, n_targets + 2)[1:-1]
     idx = np.round((u_targets - op.scene_u[0]) / op.col_weight).astype(int)
     idx = np.clip(idx, 0, n_scene - 1)
@@ -304,7 +268,7 @@ def resolution_sweep(
     positions = op.scene_u[idx]
 
     # every target and method in one adjoint_to_points call
-    u_fine, profiles = _images(op, sp, _unit_scatterers(op, idx), methods, rank, oversample)
+    u_fine, profiles, rank = _images(op, idx, methods, oversample)
 
     widths = {}
     for method in methods:

@@ -243,11 +243,6 @@ def theta_heu(t: float, D: float) -> float:
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
-# Tilts per batched integral in theta_max's coarse grid: a tilt has at most
-# two pieces of _GL_NODES points, so a batch holds at most 16 * 512 points
-# and its temporaries stay near a megabyte.
-_TILT_CHUNK = 16 * 512 // (2 * _GL_NODES)
-
 # Width in radians at which theta_max's golden-section bracket stops.
 _TILT_TOL = 1e-4
 
@@ -256,9 +251,9 @@ def theta_max(scene: SceneSegment, aperture: Aperture, wave: WaveContext) -> flo
     """Tilt angle maximizing the numeric SBP of the scene: a segment of its
     half_length and shift, at any tilt (the scene's own tilt is not read).
 
-    Coarse 181-point grid over [-pi/2, pi/2], integrated in batches of
-    _TILT_CHUNK tilts, followed by golden-section refinement of the best
-    bracket down to _TILT_TOL radians, one sbp_numeric per step.  Ties prefer the
+    Coarse 181-point grid over [-pi/2, pi/2], integrated in one batch,
+    followed by golden-section refinement of the best bracket down to
+    _TILT_TOL radians, one sbp_numeric per step.  Ties prefer the
     smaller |theta|.  Grid tilts that bring an end of the segment onto or
     behind the aperture plane are skipped; the rest form one interval
     around 0, and the bracket stays inside it.
@@ -273,10 +268,7 @@ def theta_max(scene: SceneSegment, aperture: Aperture, wave: WaveContext) -> flo
     grid = np.linspace(-0.5 * math.pi, 0.5 * math.pi, 181)
     # one end of the segment lies half_length * |sin theta| nearer the aperture than z = 0
     grid = grid[[scene.half_length * abs(math.sin(th)) < aperture.standoff for th in grid]]
-    values = np.concatenate([
-        _sbp_of_tilts(grid[i:i + _TILT_CHUNK], t, scene.half_length, aperture, wave)
-        for i in range(0, grid.size, _TILT_CHUNK)
-    ])
+    values = _sbp_of_tilts(grid, t, scene.half_length, aperture, wave)
     best = int(np.argmax(values))
     # deterministic tie-break: smallest |theta| among near-equal maxima
     near = np.nonzero(values >= values[best] * (1.0 - 1e-12))[0]

@@ -278,6 +278,18 @@ def test_out_naming_an_existing_file_exits_1(tmp_path, capsys):
     assert err.startswith("error: ") and "File exists" in err
 
 
+def test_empty_out_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    # an empty --out is refused, not read as "use [run] out_dir", which here
+    # would write results/tilt_sweep/ under the current directory
+    monkeypatch.chdir(tmp_path)
+    config = str(CONFIGS / "tilt_sweep.cfg")
+    assert main(["sbp-sweep", "--config", config, "--out", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "config error: --out: must not be empty\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_svd_command_outputs(tmp_path):
     cfg = write_config(tmp_path, NOMINAL)
     assert main(["svd", "--config", str(cfg)]) == 0

@@ -17,12 +17,12 @@ from aperture_dof import (
     WaveContext,
     beamwidth_3db,
     build_operator,
-    psf,
     reconstruct_mf,
     reconstruct_pinv,
     resolution_sweep,
     svd,
 )
+from aperture_dof.recon import _images
 
 from conftest import LAM, L1, L2, D, small_operator, random_gamma
 
@@ -85,9 +85,7 @@ def test_mf_matches_svd_route():
 
 def test_mf_kernel_matrix_is_hermitian():
     op = small_operator(MONOSTATIC, n_elements=20, n_scene=16)
-    kappa = np.empty((16, 16), dtype=complex)
-    for j in range(16):
-        kappa[:, j] = psf(j, op, "mf").values
+    kappa = _images(op, np.arange(16), ("mf",), 1)[1]["mf"]
     assert np.max(np.abs(kappa - kappa.conj().T)) < 1e-10 * np.abs(kappa).max()
 
 
@@ -102,38 +100,31 @@ def test_reconstruction_input_validation():
         reconstruct_pinv(op, data[:-1], rank=5)
     with pytest.raises(ValueError):
         reconstruct_mf(op, data[:-1])
-    with pytest.raises(ValueError):
-        psf(99, op, "mf")
-    with pytest.raises(ValueError):
-        psf(0, op, "backprojection")
-    with pytest.raises(ValueError):
-        psf(0, op, "mf", oversample=0)
 
 
 def test_psf_mf_equals_direct_reconstruction():
     op = small_operator(MONOSTATIC, n_elements=20, n_scene=24)
-    profile = psf(10, op, "mf")
+    coords, images, _ = _images(op, [10], ("mf",), 1)
     gamma = np.zeros(24, dtype=complex)
     gamma[10] = 1.0 / op.col_weight
     direct = reconstruct_mf(op, op.forward(gamma))
-    np.testing.assert_allclose(profile.values, direct.values, rtol=1e-12)
+    np.testing.assert_array_equal(coords, direct.coords)
+    np.testing.assert_allclose(images["mf"][:, 0], direct.values, rtol=1e-12)
 
 
 def test_psf_peaks_at_the_target():
     op = small_operator(MONOSTATIC, n_elements=30, n_scene=60)
     sp = svd(op)
+    _, images, _ = _images(op, [25], ("pinv", "mf"), 1, sp)
     for method in ("pinv", "mf"):
-        profile = psf(25, op, method, spectrum=sp)
-        assert int(np.argmax(np.abs(profile.values))) == 25
+        assert int(np.argmax(np.abs(images[method][:, 0]))) == 25
 
 
 def test_psf_translation_covariance():
     op = small_operator(MONOSTATIC, n_elements=30, n_scene=60)
     sp = svd(op)
-    peaks = []
-    for idx in (20, 28, 40):
-        profile = psf(idx, op, "pinv", spectrum=sp)
-        peaks.append(int(np.argmax(np.abs(profile.values))))
+    _, images, _ = _images(op, [20, 28, 40], ("pinv",), 1, sp)
+    peaks = [int(i) for i in np.argmax(np.abs(images["pinv"]), axis=0)]
     assert abs(peaks[0] - 20) <= 1
     assert abs((peaks[1] - peaks[0]) - 8) <= 1
     assert abs((peaks[2] - peaks[1]) - 12) <= 1
@@ -142,15 +133,14 @@ def test_psf_translation_covariance():
 def test_psf_oversampled_grid_and_peak():
     op = small_operator(MONOSTATIC, n_elements=30, n_scene=48)
     sp = svd(op)
+    u_coarse, coarse, _ = _images(op, [24], ("pinv", "mf"), 1, sp)
+    u_fine, fine, _ = _images(op, [24], ("pinv", "mf"), 4, sp)
+    assert u_fine.size == 48 * 4
     for method in ("pinv", "mf"):
-        coarse = psf(24, op, method, spectrum=sp)
-        fine = psf(24, op, method, oversample=4, spectrum=sp)
-        assert fine.coords.size == 48 * 4
         # the fine grid interpolates the same band-limited image
-        peak_u_coarse = coarse.coords[np.argmax(np.abs(coarse.values))]
-        peak_u_fine = fine.coords[np.argmax(np.abs(fine.values))]
-        assert abs(peak_u_fine - peak_u_coarse) <= L2 / 48
-        assert np.max(np.abs(fine.values)) >= 0.95 * np.max(np.abs(coarse.values))
+        mag_coarse, mag_fine = np.abs(coarse[method][:, 0]), np.abs(fine[method][:, 0])
+        assert abs(u_fine[np.argmax(mag_fine)] - u_coarse[np.argmax(mag_coarse)]) <= L2 / 48
+        assert mag_fine.max() >= 0.95 * mag_coarse.max()
 
 
 @pytest.mark.parametrize("architecture,n_elements", [(MONOSTATIC, 30), (MULTISTATIC, 12)])
@@ -159,14 +149,14 @@ def test_oversampled_psf_contains_the_grid_psf(architecture, n_elements):
     # the fine image must equal the grid image
     op = small_operator(architecture, n_elements=n_elements, n_scene=48)
     sp = svd(op)
+    u_coarse, coarse, _ = _images(op, [3, 24, 40], ("pinv", "mf"), 1, sp)
+    u_fine, fine, _ = _images(op, [3, 24, 40], ("pinv", "mf"), 3, sp)
+    np.testing.assert_allclose(u_fine[1::3], u_coarse, rtol=0, atol=1e-15)
     for method in ("pinv", "mf"):
-        for idx in (3, 24, 40):
-            coarse = psf(idx, op, method, spectrum=sp)
-            fine = psf(idx, op, method, oversample=3, spectrum=sp)
-            np.testing.assert_allclose(fine.coords[1::3], coarse.coords, rtol=0, atol=1e-15)
-            peak = np.abs(coarse.values).max()
+        for j in range(3):
+            peak = np.abs(coarse[method][:, j]).max()
             np.testing.assert_allclose(
-                fine.values[1::3], coarse.values, rtol=0, atol=1e-12 * peak)
+                fine[method][1::3, j], coarse[method][:, j], rtol=0, atol=1e-12 * peak)
 
 
 def test_image_profile_validation():
@@ -249,12 +239,13 @@ def test_oversampled_psf_is_one_column_of_the_sweep(architecture):
     op = build_operator(scene, layout, wave, 40)
     idx = np.searchsorted(op.scene_u, curve.positions)
     np.testing.assert_array_equal(op.scene_u[idx], curve.positions)
-    for method in ("pinv", "mf"):
-        for j, i in enumerate(idx):
-            profile = psf(int(i), op, method, oversample=3)
-            np.testing.assert_array_equal(profile.coords, curve.profile_coords)
+    # each target imaged on its own: the sweep's batch does not change a column
+    for j, i in enumerate(idx):
+        coords, images, _ = _images(op, [i], ("pinv", "mf"), 3)
+        np.testing.assert_array_equal(coords, curve.profile_coords)
+        for method in ("pinv", "mf"):
             np.testing.assert_allclose(
-                profile.values, curve.profiles[method][:, j], rtol=1e-12)
+                images[method][:, 0], curve.profiles[method][:, j], rtol=1e-12)
 
 
 @pytest.mark.parametrize("architecture", [MONOSTATIC, MULTISTATIC])
@@ -271,7 +262,7 @@ def test_pinv_psfs_take_only_the_leading_triplets(architecture, monkeypatch):
             return _true(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counting)
     resolution_sweep(scene, wave, layout, n_scene=n, n_targets=3, oversample=2)
-    psf(n // 2, op, "pinv")
+    _images(op, [n // 2], ("pinv",), 1)
     assert calls and all(name == "eigh" and shape[0] < n for name, shape in calls), calls
     # matched filtering alone takes no spectrum at all
     calls.clear()

@@ -269,9 +269,9 @@ def test_theta_max_coarse_grid_matches_per_tilt_integrals(monkeypatch, t, h):
 
     monkeypatch.setattr(sbp, "_sbp_of_tilts", recording)
     theta_max(SceneSegment(h, shift=t), ap, wave)
-    # the coarse grid's chunks, then one single-tilt call per golden-section step
+    # the coarse grid in one batch, then one single-tilt call per golden-section step
     chunks = [(th, v) for th, v in calls if th.size > 1]
-    assert [th.size for th, _ in chunks] == [128, 53]
+    assert [th.size for th, _ in chunks] == [181]
     grid = np.concatenate([th for th, _ in chunks])
     np.testing.assert_array_equal(grid, np.linspace(-0.5 * math.pi, 0.5 * math.pi, 181))
     got = np.concatenate([v for _, v in chunks])
@@ -284,7 +284,8 @@ def test_theta_max_coarse_grid_matches_per_tilt_integrals(monkeypatch, t, h):
 
 
 def test_theta_max_coarse_grid_memory_is_bounded():
-    # batches of at most 16 * 512 points bound the coarse grid's temporaries
+    # the coarse grid is at most 181 tilts x 2 pieces x _GL_NODES points, so
+    # its one batch keeps the temporaries well under a megabyte
     ap = Aperture.centered(L1, D)
     wave = WaveContext(LAM)
     tracemalloc.start()

@@ -13,10 +13,11 @@ import os as _os
 # APERTURE_DOF_THREADS caps BLAS/OpenMP parallelism through the thread-pool
 # env vars. OPENBLAS_THREAD_TIMEOUT is log2 of the cycles an idle OpenBLAS
 # worker spins before it sleeps: the default 28 (~0.1 s) burns a vCPU after
-# numpy loads and after every threaded call, while 20 (~0.4 ms) still keeps
-# LAPACK's back-to-back calls hot. At 2 threads this cuts a command's CPU by
-# about a third (bench imaging 1.4 -> 0.9 s) with wall time and results
-# unchanged.
+# numpy loads and after every threaded call. 20 (~0.4 ms) cut a command's
+# CPU by about a third at 2 threads (bench imaging 1.4 -> 0.9 s); 16 (~30 us)
+# still keeps LAPACK's back-to-back calls hot and cuts the worker's CPU per
+# command by another third (resolution on nominal.cfg 68 -> 48 ms, svd
+# 28 -> 19 ms), with main()'s wall time and every result unchanged.
 _threads = _os.environ.get("APERTURE_DOF_THREADS")
 if _threads:
     for _var in (
@@ -26,7 +27,7 @@ if _threads:
         "NUMEXPR_NUM_THREADS",
     ):
         _os.environ.setdefault(_var, _threads)
-_os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "20")
+_os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "16")
 del _os
 
 from .fresnel import (

@@ -19,6 +19,7 @@ import configparser
 import gc
 import json
 import math
+import os
 import random
 import re
 import sys
@@ -545,17 +546,18 @@ def cmd_resolution(cfg: ExperimentConfig, archs: tuple) -> dict:
 
     # independent 1/B reference: B = (2/lambda) * the spread of the
     # element-to-point unit vectors of a densely sampled aperture, projected
-    # on the scene's non-redundant direction (cos(-theta), sin(-theta))
+    # on the scene's non-redundant direction (cos(-theta), sin(-theta)),
+    # one target at a time so no temporary spans all targets
     first = curves[archs[0]]
-    pts = scene.points(first.positions)
-    dx = pts[:, 0] - np.linspace(aperture.a1, aperture.a2, 4097)[:, None]
-    dz = pts[:, 1] - aperture.z_plane
-    proj = (dx * math.cos(-scene.theta) + dz * math.sin(-scene.theta)) / np.hypot(dx, dz)
-    b_ref = (2.0 / cfg.wavelength) * (proj.max(axis=0) - proj.min(axis=0))
-    _check(
-        np.all(np.abs(b_ref * first.reciprocal_bandwidth - 1.0) <= 1e-6),
-        "reciprocal bandwidth column deviates from the aperture-sampled reference",
-    )
+    xs = np.linspace(aperture.a1, aperture.a2, 4097)
+    for (x, z), recip in zip(scene.points(first.positions), first.reciprocal_bandwidth):
+        dx, dz = x - xs, z - aperture.z_plane
+        proj = (dx * math.cos(-scene.theta) + dz * math.sin(-scene.theta)) / np.hypot(dx, dz)
+        b_ref = (2.0 / cfg.wavelength) * (proj.max() - proj.min())
+        _check(
+            abs(b_ref * recip - 1.0) <= 1e-6,
+            "reciprocal bandwidth column deviates from the aperture-sampled reference",
+        )
 
     # formatted after the check: its temporaries and the tables' text would add up at the peak
     files = {}
@@ -626,5 +628,23 @@ def main(argv: list | None = None) -> int:
     return 0
 
 
+def run():
+    """Process entry of `aperture-dof` and `python -m aperture_dof.cli`: main's
+    exit code, once stdout and stderr are flushed, without interpreter
+    teardown.  Every output file is closed by then, so os._exit skips only
+    unloading numpy's modules and joining the idle BLAS workers.  An
+    exception from main propagates as it would from sys.exit(main())."""
+    code = main()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None when the fd was closed at start-up
+                stream.flush()
+    except OSError:
+        # a reader that closed its end: the interpreter's exit flush fails
+        # again, reports it and exits 120, as it does without run()
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -50,9 +50,11 @@ MONOSTATIC = "monostatic"
 MULTISTATIC = "multistatic"
 
 # image points per cross-Gram block in adjoint_to_points: large enough for
-# efficient matrix products, small enough that a block's factors and
-# cross-Gram stay a few MiB at N = 1000, n_scene = 400
-_POINT_BLOCK = 256
+# efficient matrix products, small enough that at N = 1000, n_scene = 400 a
+# block's factors take 2 MiB each and its cross-Gram 0.8 MiB.  resolution on
+# configs/multi_n1000.cfg peaks at 51 MiB, against 58 with blocks of 256, in
+# the same wall time
+_POINT_BLOCK = 128
 
 # Rayleigh-Ritz in svd(op, leading=True): the first sample size, and the
 # floor that the smallest Ritz value, relative to the largest, must reach

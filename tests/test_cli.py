@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -769,18 +772,15 @@ def test_norm_check_catches_a_dropped_rx_weight(tmp_path, monkeypatch, capsys):
     assert "norm deviates" in capsys.readouterr().err
 
 
-def _fresh_python(*args):
+def _fresh_python(*args, stdout=subprocess.PIPE):
     """Runs `python *args` in a fresh interpreter with the source tree first on
-    PYTHONPATH; returns the completed process."""
-    import os
-    import subprocess
-    import sys
-
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    PYTHONPATH and PYTHONUNBUFFERED unset, so a piped stdout is
+    block-buffered as it is for any caller; returns the completed process."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *map(str, args)],
-        capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": path},
+        stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120, env=env,
     )
 
 
@@ -845,6 +845,27 @@ def test_fresh_process_freezes_the_start_up_heap_and_exits_by_outcome(tmp_path):
     proc = run("kspace", write_config(tmp_path, NOMINAL), taken)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ") and "File exists" in proc.stderr
+
+
+def test_process_entry_flushes_stdout_before_it_exits(tmp_path):
+    # python -m aperture_dof.cli ends in os._exit, which drops whatever a
+    # block-buffered stdout still holds unless run() flushed it first
+    out = tmp_path / "out"
+    argv = ("-m", "aperture_dof.cli", "kspace", "--config", CONFIGS / "nominal.cfg", "--out", out)
+    proc = _fresh_python(*argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        str(out / name) for name in ("kspace_mono.csv", "kspace_multi.csv", "bandwidth.csv")]
+
+    # a reader that closed its end: the paths cannot be flushed, so not exit 0
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _fresh_python(*argv, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 120
+    assert proc.stderr.endswith("BrokenPipeError: [Errno 32] Broken pipe\n")
 
 
 @pytest.mark.parametrize("command", list(cli._COMMANDS))

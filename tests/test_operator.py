@@ -553,7 +553,8 @@ _BLOCK_LAYOUTS = {
 
 
 @pytest.mark.parametrize("layout", sorted(_BLOCK_LAYOUTS))
-@pytest.mark.parametrize("m", [37, _POINT_BLOCK, 2 * _POINT_BLOCK + 1])
+# within one block, whole blocks only, and whole blocks plus a one-point tail
+@pytest.mark.parametrize("m", [37, 2 * _POINT_BLOCK, 4 * _POINT_BLOCK + 1])
 def test_adjoint_to_points_blocks_match_the_pair_kernel(layout, m):
     rng = np.random.default_rng(m)
     op = _BLOCK_LAYOUTS[layout]()

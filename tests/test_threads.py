@@ -30,7 +30,7 @@ def test_user_thread_timeout_survives_import(monkeypatch):
 
 def test_thread_timeout_set_without_a_thread_count(monkeypatch):
     env = _reimport(monkeypatch)
-    assert env["OPENBLAS_THREAD_TIMEOUT"] == "20"
+    assert env["OPENBLAS_THREAD_TIMEOUT"] == "16"
     assert not any(var in env for var in POOL_VARS)
 
 

@@ -42,7 +42,6 @@ from .geometry import (
     Aperture,
     SceneSegment,
     WaveContext,
-    path_length,
     viewing_angles,
 )
 from .kspace import (
@@ -112,7 +111,6 @@ __all__ = [
     "left_vectors",
     "mono_spectrum",
     "multi_spectrum",
-    "path_length",
     "project_points_onto_line",
     "reconstruct_mf",
     "reconstruct_pinv",

@@ -36,6 +36,7 @@ from .kspace import (
     mono_spectrum,
     multi_spectrum,
     project_points_onto_line,
+    require_positive,
     scene_projection_angle,
 )
 from .operator import (
@@ -467,12 +468,8 @@ def cmd_kspace(cfg: ExperimentConfig) -> dict:
 
     u_grid = np.linspace(-scene.half_length, scene.half_length, 101)
     pts = scene.points(u_grid)
-    b = bandwidth(pts, scene, aperture, wave)
-    # a scene far larger than the aperture's reach rounds B to 0 and 1/B to inf
-    bad = np.flatnonzero(~(b > 0.0))
-    if bad.size:
-        raise ValueError(f"bandwidth B = {b[bad[0]]:.9g} <= 0 at u = {u_grid[bad[0]]:.9g} m: "
-                         "the scene is too large for its reciprocal to be meaningful")
+    b = bandwidth(pts, scene_projection_angle(scene), aperture, wave)
+    require_positive(b, u_grid)
     return {
         "kspace_mono.csv": _csv(["kx", "kz"], *mono_pts.T),
         "kspace_multi.csv": _csv(["kx", "kz"], *multi_out.T),

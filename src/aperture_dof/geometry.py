@@ -153,27 +153,6 @@ def _x_and_depth(scene_point, aperture: Aperture) -> tuple:
     return p[..., 0], dz
 
 
-def path_length(x_on_aperture: float, scene_point, aperture: Aperture) -> float:
-    """One-way propagation distance from an aperture element to a scene point.
-
-    Parameters
-    ----------
-    x_on_aperture : float
-        Element position along the aperture line (x coordinate).
-    scene_point : (float, float)
-        Scene point (x', z') with z' > -standoff.
-    aperture : Aperture
-        Supplies the aperture plane z = -standoff.
-
-    Returns
-    -------
-    float
-        Euclidean distance sqrt((x - x')^2 + (z' + D)^2).
-    """
-    xp, dz = _x_and_depth(scene_point, aperture)
-    return math.hypot(x_on_aperture - xp, dz)
-
-
 def element_view_angle(x_on_aperture: float, scene_point, aperture: Aperture):
     """Viewing angle of a single aperture element toward scene points.
 

@@ -123,27 +123,33 @@ def scene_projection_angle(scene: SceneSegment) -> float:
     return -scene.theta
 
 
-def bandwidth(scene_point, scene: SceneSegment, aperture: Aperture, wave: WaveContext):
+def bandwidth(scene_point, line_angle, aperture: Aperture, wave: WaveContext):
     """Spatial-frequency bandwidth B of scene points, in cycles/m.
 
     Width of each point's k-space arc (radius 2k over its viewing angles)
-    projected onto the scene's non-redundant line.  By the projection
-    identity this is the same for monostatic and multistatic arrays, so the
-    mono arc is used.  scene_point is one point (x', z') or an (m, 2) array
-    of points; the result is a float or an (m,) array.
+    projected onto the line at line_angle, for a scene the line of
+    scene_projection_angle(scene).  By the projection identity this is the
+    same for monostatic and multistatic arrays, so the mono arc is used.
+    scene_point is one point (x', z') or an (..., 2) array of points, and
+    line_angle broadcasts against the points' leading shape; the result is a
+    float or an array of the broadcast shape.
     """
-    b = _bandwidth(scene_point, scene_projection_angle(scene), aperture, wave)
-    return float(b) if b.ndim == 0 else b
-
-
-def _bandwidth(scene_point, line_angle, aperture: Aperture, wave: WaveContext) -> np.ndarray:
-    """bandwidth of an (..., 2) point array, projected onto line_angle
-    broadcast against the points' leading shape; an array of that shape."""
     p = np.asarray(scene_point, dtype=float)
     shape = p.shape[:-1]
     alpha, beta = viewing_angles(p.reshape(-1, 2), aperture)
     lo, hi = _project_arc(2.0 * wave.k, alpha.reshape(shape), beta.reshape(shape), line_angle)
-    return hi - lo
+    b = hi - lo
+    return float(b) if b.ndim == 0 else b
+
+
+def require_positive(b: np.ndarray, u: np.ndarray) -> None:
+    """Raise ValueError at the first bandwidth b[i] that is not positive,
+    naming its scene coordinate u[i]: a scene far beyond the aperture's
+    reach rounds B to 0, and its reciprocal to inf."""
+    bad = np.flatnonzero(~(b > 0.0))
+    if bad.size:
+        raise ValueError(f"bandwidth B = {b[bad[0]]:.9g} <= 0 at u = {u[bad[0]]:.9g} m: "
+                         "the scene is too large for its reciprocal to be meaningful")
 
 
 def effective_monostatic_point(

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import SceneSegment, WaveContext
-from .kspace import bandwidth
+from .kspace import bandwidth, require_positive, scene_projection_angle
 from .operator import (
     ArrayLayout,
     DiscreteOperator,
@@ -241,8 +241,9 @@ def resolution_sweep(
     Places n_targets point scatterers evenly across the interior of the
     scene (snapped to the scene grid), reconstructs each with every
     requested method, extracts 3dB widths, and evaluates the reciprocal
-    bandwidth of the array's aperture at the same points.  Edge-clipped
-    mainlobes are flagged, not dropped.
+    bandwidth of the array's aperture at the same points, refusing with
+    ValueError a target whose B is not positive.  Edge-clipped mainlobes
+    are flagged, not dropped.
 
     PINV truncation keeps the -10 dB knee of the leading spectrum, which
     _images takes only when PINV is requested.  The complex fine-grid PSFs
@@ -266,6 +267,8 @@ def resolution_sweep(
     # idx is non-decreasing; np.unique would import numpy.ma
     idx = idx[np.concatenate(([True], np.diff(idx) > 0))]
     positions = op.scene_u[idx]
+    b = bandwidth(scene.points(positions), scene_projection_angle(scene), array.aperture, wave)
+    require_positive(b, positions)
 
     # every target and method in one adjoint_to_points call
     u_fine, profiles, rank = _images(op, idx, methods, oversample)
@@ -287,7 +290,7 @@ def resolution_sweep(
     return ResolutionCurve(
         positions=positions,
         widths=widths,
-        reciprocal_bandwidth=1.0 / bandwidth(scene.points(positions), scene, array.aperture, wave),
+        reciprocal_bandwidth=1.0 / b,
         grid_spacing=scene.length / (n_scene * oversample),
         profiles=profiles,
         profile_coords=u_fine,

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Aperture, SceneSegment, WaveContext, path_length
-from .kspace import _bandwidth
+from .geometry import Aperture, SceneSegment, WaveContext
+from .kspace import bandwidth
 
 
 @dataclass(frozen=True)
@@ -78,8 +78,7 @@ def sbp_closed_form_g2(aperture_interval, scene_interval, D: float, lam: float) 
         raise ValueError(f"aperture interval must satisfy a1 < a2, got [{a1}, {a2}]")
     if s1 > s2:
         raise ValueError(f"scene interval must satisfy s1 <= s2, got [{s1}, {s2}]")
-    ap = Aperture(a1, a2, D)
-    r = lambda s, a: path_length(a, (s, 0.0), ap)
+    r = lambda s, a: math.hypot(a - s, D)
     return (2.0 / lam) * ((r(s2, a1) - r(s2, a2)) + (r(s1, a2) - r(s1, a1)))
 
 
@@ -199,7 +198,7 @@ def _sbp_of_tilts(theta: np.ndarray, t: float, half_length: float, aperture: Ape
     half = 0.5 * (hi - lo)
     u = (0.5 * (hi + lo))[:, None] + half[:, None] * x
     points = np.stack([t + u * cos[tilt, None], -u * sin[tilt, None]], axis=-1)
-    b = _bandwidth(points, -theta[tilt, None], aperture, wave)
+    b = bandwidth(points, -theta[tilt, None], aperture, wave)
     piece = half * (b * w).sum(axis=-1)
     sbp = piece[:m]
     sbp[cut] += piece[m:]

@@ -472,6 +472,46 @@ def test_kspace_on_a_scene_beyond_the_bandwidth_exits_1_and_writes_nothing(tmp_p
     assert err.startswith("error: bandwidth B = 0 <= 0 at u = -5e+299 m"), err
 
 
+def test_resolution_on_a_scene_beyond_the_bandwidth_exits_1_and_writes_nothing(tmp_path, capsys):
+    # resolution_sweep refuses the first target, before it divides by B
+    path = tmp_path / "huge.cfg"
+    path.write_text("[geometry]\nL2 = 1e300\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["resolution", "--config", str(path), "--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: bandwidth B = 0 <= 0 at u = -4.5375e+299 m: the scene is too "
+                          "large"), err
+
+
+def test_sbp_integrals_call_the_public_bandwidth(tmp_path, monkeypatch):
+    # perfbench/trace_child.py sees a layer only through the public name it
+    # wraps in every aperture_dof namespace that holds it
+    import aperture_dof.kspace as kspace
+
+    argv = ["sbp-sweep", "--config", str(CONFIGS / "tilt_sweep.cfg"), "--out"]
+    assert main([*argv, str(tmp_path / "plain")]) == 0
+    true_bandwidth = kspace.bandwidth
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return true_bandwidth(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name == "aperture_dof" or name.startswith("aperture_dof."):
+            for attr, value in list(vars(module).items()):
+                if value is true_bandwidth:
+                    monkeypatch.setattr(module, attr, counted)
+    assert main([*argv, str(tmp_path / "wrapped")]) == 0
+    # at least one call per tilted row (10 of 11) and one for theta_max
+    assert len(calls) >= 11
+    assert ((tmp_path / "wrapped" / "sbp_sweep.csv").read_bytes()
+            == (tmp_path / "plain" / "sbp_sweep.csv").read_bytes())
+
+
 def test_fresnel_command(tmp_path):
     cfg = write_config(tmp_path, NOMINAL)
     assert main(["fresnel", "--config", str(cfg)]) == 0

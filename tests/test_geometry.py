@@ -11,7 +11,6 @@ from aperture_dof import (
     ArrayLayout,
     SceneSegment,
     WaveContext,
-    path_length,
     viewing_angles,
 )
 from aperture_dof.geometry import element_view_angle
@@ -120,34 +119,12 @@ def test_scene_points_lie_on_the_line(theta, sign, u, t):
     assert x == pytest.approx(rho * z + t, abs=1e-9)
 
 
-def test_path_length_value():
-    ap = Aperture.centered(0.15, 0.2)
-    assert path_length(0.075, (0.05, 0.0), ap) == pytest.approx(
-        math.hypot(0.075 - 0.05, 0.2)
-    )
-
-
-def test_path_length_rejects_points_behind_aperture():
+def test_viewing_angles_rejects_points_behind_aperture():
     ap = Aperture.centered(0.15, 0.2)
     with pytest.raises(ValueError):
-        path_length(0.0, (0.0, -0.2), ap)
+        viewing_angles((0.0, -0.2), ap)
     with pytest.raises(ValueError):
-        path_length(0.0, (0.0, -0.25), ap)
-
-
-@given(
-    x=st.floats(-0.075, 0.075),
-    xp=st.floats(-0.3, 0.3),
-    zp=st.floats(-0.15, 0.3),
-    dx=st.floats(-5.0, 5.0),
-)
-@settings(max_examples=50)
-def test_path_length_translation_invariant(x, xp, zp, dx):
-    ap = Aperture.centered(0.15, 0.2)
-    ap_shifted = Aperture(ap.a1 + dx, ap.a2 + dx, ap.standoff)
-    r0 = path_length(x, (xp, zp), ap)
-    r1 = path_length(x + dx, (xp + dx, zp), ap_shifted)
-    assert r1 == pytest.approx(r0, rel=1e-12, abs=1e-12)
+        viewing_angles((0.0, -0.25), ap)
 
 
 def test_viewing_angles_centered_point():

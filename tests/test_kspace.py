@@ -151,11 +151,24 @@ def test_closed_form_arc_projection_wraps_around(line_angle, xp, frac, j, sign):
 )
 def test_bandwidth_of_a_point_set_equals_per_point_calls(aperture, wave, scene):
     u = np.linspace(-scene.half_length, scene.half_length, 37)
-    b = bandwidth(scene.points(u), scene, aperture, wave)
+    angle = scene_projection_angle(scene)
+    b = bandwidth(scene.points(u), angle, aperture, wave)
     assert b.shape == (u.size,)
-    per_point = [bandwidth(scene.point(ui), scene, aperture, wave) for ui in u]
+    per_point = [bandwidth(scene.point(ui), angle, aperture, wave) for ui in u]
     assert all(isinstance(v, float) for v in per_point)
     np.testing.assert_array_equal(b, per_point)
+
+
+def test_bandwidth_broadcasts_the_line_angle_against_the_points(aperture, wave):
+    # one row of points and one angle per scene, as the SBP batch passes them
+    scenes = [SceneSegment(0.05, theta, 0.03) for theta in (-0.6, 0.0, 0.9)]
+    u = np.linspace(-0.05, 0.05, 7)
+    angles = np.array([[scene_projection_angle(s)] for s in scenes])
+    b = bandwidth(np.stack([s.points(u) for s in scenes]), angles, aperture, wave)
+    assert b.shape == (3, u.size)
+    for row, s in zip(b, scenes):
+        np.testing.assert_array_equal(
+            row, bandwidth(s.points(u), scene_projection_angle(s), aperture, wave))
 
 
 def test_bandwidth_rejects_a_point_set_with_one_point_behind_the_aperture(aperture, wave):
@@ -163,7 +176,7 @@ def test_bandwidth_rejects_a_point_set_with_one_point_behind_the_aperture(apertu
     pts = scene.points(np.linspace(-0.05, 0.05, 5))
     pts[3, 1] = -aperture.standoff - 0.01
     with pytest.raises(ValueError, match="behind the aperture plane"):
-        bandwidth(pts, scene, aperture, wave)
+        bandwidth(pts, scene_projection_angle(scene), aperture, wave)
 
 
 @given(
@@ -194,7 +207,7 @@ def test_scene_projection_angle_sign():
 
 
 def test_bandwidth_center_value(aperture, wave, scene_g1):
-    b = bandwidth((0.0, 0.0), scene_g1, aperture, wave)
+    b = bandwidth((0.0, 0.0), scene_projection_angle(scene_g1), aperture, wave)
     assert b == pytest.approx(B_G1_CENTER, rel=1e-12)
     # broadside center: projected band is (2/lam)*[sin(alpha), sin(beta)]
     half = math.atan2(aperture.length / 2.0, aperture.standoff)
@@ -204,7 +217,7 @@ def test_bandwidth_center_value(aperture, wave, scene_g1):
 def test_bandwidth_positive_across_scene(aperture, wave):
     scene = SceneSegment(0.05, 0.5, 0.1)
     for u in np.linspace(-0.05, 0.05, 9):
-        assert bandwidth(scene.point(u), scene, aperture, wave) > 0.0
+        assert bandwidth(scene.point(u), scene_projection_angle(scene), aperture, wave) > 0.0
 
 
 def test_projection_interval_ordering(aperture, wave):

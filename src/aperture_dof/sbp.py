@@ -2,27 +2,28 @@
 
 The SBP integrates the per-point spatial-frequency bandwidth B over the
 scene's arc length and counts the resolvable degrees of freedom available to
-the geometry.  Closed forms exist for broadside segments (tilt 0); tilted
-segments are integrated numerically, by Gauss-Legendre quadrature on each
-smooth piece of B(u), which reaches rounding level with a few dozen
-bandwidth evaluations per piece.
+the geometry.  The integral has a closed form for every segment in front of
+the aperture plane: B(u) is a combination of the derivatives of the distances
+from the aperture ends to p(u), so the SBP is a combination of those
+distances at the segment's ends (and at B's kink, where it has one).
+Broadside segments keep the paper's G1 and G2 formulas.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import Aperture, SceneSegment, WaveContext
-from .kspace import bandwidth
 
 
 @dataclass(frozen=True)
 class SbpResult:
-    """SBP value with the method that produced it."""
+    """SBP value with the formula that produced it: the paper's broadside
+    'closed-form-G1' or 'closed-form-G2', or 'numeric-integral' for
+    sbp_numeric's closed form, a label older than that form."""
 
     value: float
     method: str
@@ -83,85 +84,33 @@ def sbp_closed_form_g2(aperture_interval, scene_interval, D: float, lam: float) 
 
 
 def sbp_numeric(scene: SceneSegment, aperture: Aperture, wave: WaveContext) -> SbpResult:
-    """Gauss-Legendre integral of the per-point bandwidth over the scene.
-
-    B(u) is analytic on the segment except for at most one kink, which
-    exists only when the scene line crosses the aperture (see _kink).  The
-    segment is cut there and each piece takes _GL_NODES nodes.  On
-    theta_max's grids that is within 5e-11 of the integral, at rounding level
-    on most tilts, unless an end of the segment comes within 1 cm of the
-    aperture plane: a singularity of B then nears the segment and costs
-    digits (1.4e-10 at 3.2 mm, 1.4e-9 at 1.3 mm).  B is evaluated on all
-    nodes in one array-valued bandwidth call.
+    """SBP of any segment in front of the aperture plane, by the closed form
+    of the integral of B(u) that _sbp_of_tilts evaluates (one tilt).
 
     Returns
     -------
     SbpResult
-        method 'numeric-integral'.
+        method 'numeric-integral': the label of every segment that is not
+        handed to sbp_closed_form_g1 or _g2, kept from when this integral was
+        a quadrature so that dof.json's sbp_method strings stay as they were.
     """
     value = _sbp_of_tilts(np.array([scene.theta]), scene.shift, scene.half_length, aperture,
                           wave)[0]
     return SbpResult(value=float(value), method="numeric-integral")
 
 
-# Gauss-Legendre nodes per smooth piece of B(u)
-_GL_NODES = 32
+def _kink(s: np.ndarray, c: np.ndarray, half_length: float) -> np.ndarray:
+    """u in (-half_length, half_length) of the kink of B(u), or NaN where B
+    has none; per tilt, from the (2, tilts) projections s and c of
+    _sbp_of_tilts.
 
-
-@functools.cache
-def _gauss_legendre(n: int = _GL_NODES) -> tuple:
-    """Nodes (ascending) and weights of the n-point Gauss-Legendre rule on
-    [-1, 1], n even, as read-only arrays.
-
-    Each positive root of P_n comes from Newton's iteration on the
-    three-term Legendre recurrence, started at its asymptotic estimate; the
-    negative half mirrors it, so nodes and weights are symmetric bit for
-    bit.  Plain floats keep this free of numpy.polynomial (an import per
-    process), of LAPACK, and of numpy code no other step of a run touches.
-    """
-    def legendre(x):
-        # P_n(x) and P_n'(x)
-        p0, p1 = 1.0, x
-        for j in range(2, n + 1):
-            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-        return p1, n * (x * p1 - p0) / (x * x - 1.0)
-
-    roots, weights = [], []
-    for i in range(n // 2):
-        x = math.cos(math.pi * (i + 0.75) / (n + 0.5))
-        for _ in range(100):
-            p, dp = legendre(x)
-            step = p / dp
-            x -= step
-            if abs(step) < 1e-15:
-                break
-        dp = legendre(x)[1]
-        roots.append(x)
-        weights.append(2.0 / ((1.0 - x * x) * dp * dp))
-    # roots descend from near 1
-    nodes = np.array([-x for x in roots] + roots[::-1])
-    weights = np.array(weights + weights[::-1])
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
-
-
-def _kink(cos, sin, t: float, half_length: float, aperture: Aperture) -> np.ndarray:
-    """u in (-half_length, half_length) of the kink of B(u) on the line
-    through (t, 0) along d = (cos, -sin), or NaN where B has none; per tilt.
-
-    Let c_i be the signed distance of the aperture end A_i = (a_i, -D) from
-    the line and s_i = ((t, 0) - A_i).d, so that the end's direction toward
-    p(u) projects onto d as (s_i + u) / hypot(s_i + u, c_i).  Only when c_1
-    and c_2 differ in sign does the line cross the aperture: every point's
-    arc then holds the stationary direction, and B's other bound switches
-    between the two end values where they are equal, i.e. where
-    |c_1| / r_1 = |c_2| / r_2 with s_1 + u and s_2 + u of one sign, at
+    Only when c_1 and c_2 differ in sign does the line cross the aperture:
+    every point's arc then holds the stationary direction, and B's other
+    bound switches between the two end values where they are equal, i.e.
+    where |c_1| / r_1 = |c_2| / r_2 with s_1 + u and s_2 + u of one sign, at
     u = -(c_2 s_1 + c_1 s_2) / (c_1 + c_2).  Otherwise, an end on the line
     included, B(u) is smooth.
     """
-    ends = np.array([aperture.a1, aperture.a2])[:, None]
-    c = (t - ends) * sin + aperture.standoff * cos
-    s = (t - ends) * cos - aperture.standoff * sin
     crossed = (c[0] * c[1] < 0.0) & (c[0] + c[1] != 0.0)
     u = -(c[1] * s[0] + c[0] * s[1]) / np.where(crossed, c[0] + c[1], 1.0)
     return np.where(crossed & (np.abs(u) < half_length), u, np.nan)
@@ -169,47 +118,47 @@ def _kink(cos, sin, t: float, half_length: float, aperture: Aperture) -> np.ndar
 
 def _sbp_of_tilts(theta: np.ndarray, t: float, half_length: float, aperture: Aperture,
                   wave: WaveContext) -> np.ndarray:
-    """sbp_numeric of SceneSegment(half_length, theta[i], t) for each tilt at
-    once; a (tilts,) array.
+    """SBP of SceneSegment(half_length, theta[i], t) for each tilt at once, in
+    closed form; a (tilts,) array.
 
-    Every tilt's [-half_length, half_length] is one piece, or two when cut
-    at its kink, and all pieces' nodes go through one bandwidth call.  The
-    points are built as SceneSegment.points builds them, with math.cos and
-    math.sin per tilt, and each tilt's pieces are added in order, so every
-    value equals sbp_numeric's bit for bit whatever the batch.
+    Let c_i be the signed distance of the aperture end A_i = (a_i, -D) from
+    the line through (t, 0) along d = (cos, -sin), and s_i = ((t, 0) - A_i).d,
+    so that A_i lies r_i(u) = hypot(s_i + u, c_i) from p(u), and its
+    direction toward p(u) projects onto d as g_i = (s_i + u) / r_i = r_i'(u).
+    Where the line misses the aperture (c_1 c_2 >= 0), B = (2/lam)|g_2 - g_1|
+    is of one sign on the segment, so SBP = (2/lam)|dr_2 - dr_1|, dr_i the
+    change of r_i over it.  Where it crosses, the arc of every point holds
+    -sign(sin) d, and B = (2/lam)(1 + max_i sign(sin) g_i): the dominant end
+    switches only at _kink, and on each piece its change of sign(sin) r_i is
+    the larger, so SBP = (2/lam)(2 half_length + sum over the pieces of
+    max_i sign(sin) dr_i).  Every step is elementwise, with math.cos and
+    math.sin per tilt as SceneSegment.points takes them, so every value
+    equals sbp_numeric's bit for bit whatever the batch.
     """
     cos = np.array([math.cos(th) for th in theta])
     sin = np.array([math.sin(th) for th in theta])
-    # the nodes stop short of the segment's ends, so check the nearer end here
     reach = half_length * np.abs(sin).max()
     if reach >= aperture.standoff:
         raise ValueError(f"scene segment reaches {reach} toward the aperture plane, "
                          f"at or beyond its standoff {aperture.standoff}")
-    kink = _kink(cos, sin, t, half_length, aperture)
-    m = theta.size
-    cut = np.flatnonzero(~np.isnan(kink))
-    # piece j belongs to tilt tilt[j]: each tilt's first piece, then the
-    # second pieces of the cut ones
-    tilt = np.concatenate([np.arange(m), cut])
-    lo = np.concatenate([np.full(m, -half_length), kink[cut]])
-    hi = np.concatenate([np.where(np.isnan(kink), half_length, kink),
-                         np.full(cut.size, half_length)])
-    x, w = _gauss_legendre()
-    half = 0.5 * (hi - lo)
-    u = (0.5 * (hi + lo))[:, None] + half[:, None] * x
-    points = np.stack([t + u * cos[tilt, None], -u * sin[tilt, None]], axis=-1)
-    b = bandwidth(points, -theta[tilt, None], aperture, wave)
-    piece = half * (b * w).sum(axis=-1)
-    sbp = piece[:m]
-    sbp[cut] += piece[m:]
-    return sbp
+    ends = np.array([aperture.a1, aperture.a2])[:, None]
+    c = (t - ends) * sin + aperture.standoff * cos
+    s = (t - ends) * cos - aperture.standoff * sin
+    kink = _kink(s, c, half_length)
+    # the pieces [-h, kink] and [kink, h], or [-h, h] and [h, h] without one
+    u = np.stack([np.full_like(cos, -half_length), np.where(np.isnan(kink), half_length, kink),
+                  np.full_like(cos, half_length)])
+    dr = np.diff(np.hypot(s[:, None] + u, c[:, None]), axis=1)  # (end, piece, tilt)
+    missed = np.abs(dr[1].sum(axis=0) - dr[0].sum(axis=0))
+    crossed = 2.0 * half_length + (np.sign(sin) * dr).max(axis=0).sum(axis=0)
+    return (2.0 / wave.wavelength) * np.where(c[0] * c[1] < 0.0, crossed, missed)
 
 
 def compute_sbp(scene: SceneSegment, aperture: Aperture, wave: WaveContext) -> SbpResult:
     """SBP by the most specific applicable method.
 
-    Broadside segments use the closed forms (centered -> G1 form, shifted ->
-    G2 form); tilted segments fall back to the numeric integral.
+    Broadside segments use the paper's closed forms (centered -> G1 form,
+    shifted -> G2 form); tilted segments take sbp_numeric.
     """
     if scene.theta == 0.0:
         if scene.shift == 0.0:
@@ -247,10 +196,10 @@ _TILT_TOL = 1e-4
 
 
 def theta_max(scene: SceneSegment, aperture: Aperture, wave: WaveContext) -> float:
-    """Tilt angle maximizing the numeric SBP of the scene: a segment of its
+    """Tilt angle maximizing the SBP of the scene: a segment of its
     half_length and shift, at any tilt (the scene's own tilt is not read).
 
-    Coarse 181-point grid over [-pi/2, pi/2], integrated in one batch,
+    Coarse 181-point grid over [-pi/2, pi/2], in one _sbp_of_tilts batch,
     followed by golden-section refinement of the best bracket down to
     _TILT_TOL radians, one sbp_numeric per step.  Ties prefer the
     smaller |theta|.  Grid tilts that bring an end of the segment onto or

@@ -395,6 +395,20 @@ def test_sbp_sweep_theta_max_on_a_scene_longer_than_twice_the_standoff(tmp_path)
         assert 0.225 * abs(math.sin(float(row[header.index("theta_max")]))) < 0.20
 
 
+def test_sbp_sweep_is_exact_with_an_end_near_the_aperture_plane(tmp_path):
+    # the u = -L2/2 end lies 1.8 mm in front of the aperture plane and 2.1 mm
+    # from the aperture end a1, so a singularity of B(u) nears the segment;
+    # the closed form is exact there, where 32-point Gauss-Legendre on each
+    # smooth piece of B gives 35.7818911
+    body = ("[geometry]\nlambda = 5mm\nL1 = 5.3cm\nL2 = 29.3cm\nD = 9.2cm\nt = 9cm\n"
+            "\n[sweep]\nparam = theta\nvalues = -38deg\n\n[run]\nout_dir = {out}\n")
+    cfg = write_config(tmp_path, body)
+    assert main(["sbp-sweep", "--config", str(cfg)]) == 0
+    header, rows = read_csv(tmp_path / "results" / "sbp_sweep.csv")
+    assert header == ["param_value", "sbp"]
+    assert rows == [[f"{math.radians(-38.0):.9g}", "35.7818676"]]
+
+
 def test_sbp_sweep_requires_sweep_section(tmp_path, capsys):
     cfg = write_config(tmp_path, NOMINAL)
     assert main(["sbp-sweep", "--config", str(cfg)]) == 2
@@ -486,28 +500,32 @@ def test_resolution_on_a_scene_beyond_the_bandwidth_exits_1_and_writes_nothing(t
                           "large"), err
 
 
-def test_sbp_integrals_call_the_public_bandwidth(tmp_path, monkeypatch):
-    # perfbench/trace_child.py sees a layer only through the public name it
-    # wraps in every aperture_dof namespace that holds it
-    import aperture_dof.kspace as kspace
+def test_sbp_sweep_calls_the_traced_sbp_numeric(tmp_path, monkeypatch):
+    # perfbench/trace_child.py sees the SBP layer only through the public
+    # name it wraps in every aperture_dof namespace that holds it
+    import aperture_dof.sbp as sbp
 
     argv = ["sbp-sweep", "--config", str(CONFIGS / "tilt_sweep.cfg"), "--out"]
     assert main([*argv, str(tmp_path / "plain")]) == 0
-    true_bandwidth = kspace.bandwidth
+    true_numeric = sbp.sbp_numeric
     calls = []
 
     def counted(*args):
         calls.append(args)
-        return true_bandwidth(*args)
+        return true_numeric(*args)
 
     for name, module in list(sys.modules.items()):
         if name == "aperture_dof" or name.startswith("aperture_dof."):
             for attr, value in list(vars(module).items()):
-                if value is true_bandwidth:
+                if value is true_numeric:
                     monkeypatch.setattr(module, attr, counted)
     assert main([*argv, str(tmp_path / "wrapped")]) == 0
-    # at least one call per tilted row (10 of 11) and one for theta_max
-    assert len(calls) >= 11
+    # one call per tilted row (10 of 11), and theta_max's golden-section steps
+    _, rows = read_csv(tmp_path / "plain" / "sbp_sweep.csv")
+    tilted = {row[0] for row in rows if float(row[0]) != 0.0}
+    assert len(tilted) == 10
+    assert tilted <= {f"{scene.theta:.9g}" for scene, *_ in calls}
+    assert len(calls) >= 10 + 2
     assert ((tmp_path / "wrapped" / "sbp_sweep.csv").read_bytes()
             == (tmp_path / "plain" / "sbp_sweep.csv").read_bytes())
 
@@ -848,8 +866,8 @@ def test_kspace_does_not_import_numpy_random(tmp_path):
 
 
 def test_sbp_sweep_does_not_import_numpy_polynomial(tmp_path):
-    # numpy.polynomial, about 4 ms and 0.6 MiB of start-up on a 2-vCPU VM,
-    # only for Gauss-Legendre nodes that the sbp module computes itself
+    # numpy.polynomial, about 4 ms and 0.6 MiB of start-up on a 2-vCPU VM:
+    # the SBP is in closed form, so no step of a sweep needs quadrature nodes
     _assert_runs_without("numpy.polynomial", "sbp-sweep", "tilt_sweep.cfg", tmp_path)
 
 

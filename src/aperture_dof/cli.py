@@ -28,29 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _svg
-from .fresnel import fresnel_dof, fresnel_equivalence_check, sbp_g3_fresnel
-from .geometry import Aperture, SceneSegment, WaveContext
-from .kspace import (
-    bandwidth,
-    mono_spectrum,
-    multi_spectrum,
-    project_points_onto_line,
-    require_positive,
-    scene_projection_angle,
-)
-from .operator import (
-    MONOSTATIC,
-    MULTISTATIC,
-    ArrayLayout,
-    build_operator,
-    dof_knee,
-    sigma_bar,
-    sigma_bar_sq,
-    svd,
-)
-from .recon import resolution_sweep
-from .sbp import compute_sbp, sbp_closed_form_g1, theta_heu, theta_max
+from . import _svg, fresnel, kspace, operator, recon, sbp
+from .geometry import MONOSTATIC, MULTISTATIC, Aperture, SceneSegment, WaveContext
 
 
 class ConfigError(Exception):
@@ -309,8 +288,8 @@ class ExperimentConfig:
     def architectures(self, override: str | None = None) -> tuple:
         return _ARCH_TOKENS[override or self.architecture]
 
-    def layout(self, architecture: str) -> ArrayLayout:
-        return ArrayLayout.uniform(self.aperture(), self.n_elements, architecture)
+    def layout(self, architecture: str) -> operator.ArrayLayout:
+        return operator.ArrayLayout.uniform(self.aperture(), self.n_elements, architecture)
 
 
 # Built once from the fields: every accepted key as (section, key, attribute,
@@ -363,13 +342,13 @@ def _check(condition: bool, message: str):
 
 def cmd_svd(cfg: ExperimentConfig, archs: tuple) -> dict:
     wave, aperture, scene = cfg.wave(), cfg.aperture(), cfg.scene()
-    sbp_res = compute_sbp(scene, aperture, wave)
+    sbp_res = sbp.compute_sbp(scene, aperture, wave)
     files = {}
     arch_payload = {}
     svg_series = []
     for arch in archs:
-        op = build_operator(scene, cfg.layout(arch), wave, cfg.n_scene)
-        spectrum = svd(op, vectors=False)
+        op = operator.build_operator(scene, cfg.layout(arch), wave, cfg.n_scene)
+        spectrum = operator.svd(op, vectors=False)
         sig = spectrum.singular_values
         expected = (
             cfg.L1 * cfg.L2 if arch == MONOSTATIC else cfg.L1 ** 2 * cfg.L2
@@ -384,9 +363,9 @@ def cmd_svd(cfg: ExperimentConfig, archs: tuple) -> dict:
             np.arange(1, sig.size + 1), sig, sig / sig[0],
         )
         arch_payload[token] = {
-            "sigma_bar": sigma_bar(spectrum),
-            "sigma_bar_sq": sigma_bar_sq(spectrum),
-            "knee_index": dof_knee(spectrum),
+            "sigma_bar": operator.sigma_bar(spectrum),
+            "sigma_bar_sq": operator.sigma_bar_sq(spectrum),
+            "knee_index": operator.dof_knee(spectrum),
             "n_singular_values": int(sig.size),
             "hs_norm_sq": spectrum.hs_norm_sq,
         }
@@ -400,7 +379,7 @@ def cmd_svd(cfg: ExperimentConfig, archs: tuple) -> dict:
         "geometry_class": scene.geometry_class,
         "sbp": sbp_res.value,
         "sbp_method": sbp_res.method,
-        "fresnel_dof": fresnel_dof(cfg.L1, cfg.L2, cfg.D, cfg.wavelength),
+        "fresnel_dof": sbp.fresnel_dof(cfg.L1, cfg.L2, cfg.D, cfg.wavelength),
         "architectures": arch_payload,
     }
     files["dof.json"] = _json(payload)
@@ -431,14 +410,14 @@ def cmd_sbp_sweep(cfg: ExperimentConfig) -> dict:
     best_tilt = {}
     for value, at in cfg.sweep():
         aperture, scene = at.aperture(), at.scene()
-        row = [value, compute_sbp(scene, aperture, wave).value]
+        row = [value, sbp.compute_sbp(scene, aperture, wave).value]
         if cfg.sweep_include_fresnel:
-            row.append(sbp_g3_fresnel(at.L1, at.L2, at.D, cfg.wavelength, at.theta))
+            row.append(sbp.sbp_g3_fresnel(at.L1, at.L2, at.D, cfg.wavelength, at.theta))
         if cfg.sweep_include_theta:
-            row.append(theta_heu(at.t, at.D))
+            row.append(sbp.theta_heu(at.t, at.D))
             key = (at.t, at.L2, at.D)
             if key not in best_tilt:
-                best_tilt[key] = theta_max(scene, aperture, wave)
+                best_tilt[key] = sbp.theta_max(scene, aperture, wave)
             row.append(best_tilt[key])
         rows.append(row)
     return {"sbp_sweep.csv": _csv(header, *zip(*rows))}
@@ -448,19 +427,19 @@ def cmd_kspace(cfg: ExperimentConfig) -> dict:
     wave, aperture, scene = cfg.wave(), cfg.aperture(), cfg.scene()
     point = scene.point(cfg.kspace_point_u)
     n = cfg.kspace_samples
-    mono_pts = mono_spectrum(point, aperture, wave, n)
+    mono_pts = kspace.mono_spectrum(point, aperture, wave, n)
 
     # the written multi grid is decimated; checks below use the full density
-    multi_out = multi_spectrum(point, aperture, wave, min(n, 96))
+    multi_out = kspace.multi_spectrum(point, aperture, wave, min(n, 96))
 
     # stdlib random, loaded at start-up, spares the numpy.random import
     rng = random.Random(cfg.seed)
-    multi_full = multi_spectrum(point, aperture, wave, n)
-    angles = [scene_projection_angle(scene), 0.0]
+    multi_full = kspace.multi_spectrum(point, aperture, wave, n)
+    angles = [kspace.scene_projection_angle(scene), 0.0]
     angles.extend(rng.uniform(-0.5 * math.pi, 0.5 * math.pi) for _ in range(3))
     for ang in angles:
-        lo_m, hi_m = project_points_onto_line(mono_pts, ang)
-        lo_x, hi_x = project_points_onto_line(multi_full, ang)
+        lo_m, hi_m = kspace.project_points_onto_line(mono_pts, ang)
+        lo_x, hi_x = kspace.project_points_onto_line(multi_full, ang)
         _check(
             abs((hi_m - lo_m) - (hi_x - lo_x)) <= 1e-9 * wave.k,
             f"mono/multi projected widths diverge at line angle {ang:.3f}",
@@ -468,8 +447,8 @@ def cmd_kspace(cfg: ExperimentConfig) -> dict:
 
     u_grid = np.linspace(-scene.half_length, scene.half_length, 101)
     pts = scene.points(u_grid)
-    b = bandwidth(pts, scene_projection_angle(scene), aperture, wave)
-    require_positive(b, u_grid)
+    b = kspace.bandwidth(pts, kspace.scene_projection_angle(scene), aperture, wave)
+    kspace.require_positive(b, u_grid)
     return {
         "kspace_mono.csv": _csv(["kx", "kz"], *mono_pts.T),
         "kspace_multi.csv": _csv(["kx", "kz"], *multi_out.T),
@@ -481,7 +460,7 @@ def cmd_kspace(cfg: ExperimentConfig) -> dict:
 def _fresnel_payload(cfg: ExperimentConfig) -> tuple:
     """fresnel.json's payload and the effective aperture of one parallel
     geometry, once its Fresnel-kernel equivalence check has passed."""
-    report = fresnel_equivalence_check(
+    report = fresnel.fresnel_equivalence_check(
         cfg.layout(MULTISTATIC), cfg.scene(), cfg.wave(), cfg.n_scene)
     _check(
         report.max_rel_discrepancy["fresnel"] <= 1e-6,
@@ -491,10 +470,10 @@ def _fresnel_payload(cfg: ExperimentConfig) -> tuple:
     eff = report.effective
     payload = {
         "geometry": _geometry_payload(cfg),
-        "fresnel_dof": fresnel_dof(cfg.L1, cfg.L2, cfg.D, cfg.wavelength),
-        "sbp_g3_fresnel_at_theta": sbp_g3_fresnel(
+        "fresnel_dof": sbp.fresnel_dof(cfg.L1, cfg.L2, cfg.D, cfg.wavelength),
+        "sbp_g3_fresnel_at_theta": sbp.sbp_g3_fresnel(
             cfg.L1, cfg.L2, cfg.D, cfg.wavelength, cfg.theta),
-        "sbp_closed_form_g1": sbp_closed_form_g1(cfg.L1, cfg.L2, cfg.D, cfg.wavelength),
+        "sbp_closed_form_g1": sbp.sbp_closed_form_g1(cfg.L1, cfg.L2, cfg.D, cfg.wavelength),
         "equivalence": {f"{kernel}_kernel_max_rel_discrepancy": value
                         for kernel, value in report.max_rel_discrepancy.items()},
         "effective_aperture_size": int(eff.positions.size),
@@ -531,7 +510,7 @@ def cmd_fresnel(cfg: ExperimentConfig) -> dict:
 def cmd_resolution(cfg: ExperimentConfig, archs: tuple) -> dict:
     wave, aperture, scene = cfg.wave(), cfg.aperture(), cfg.scene()
     curves = {
-        arch: resolution_sweep(
+        arch: recon.resolution_sweep(
             scene, wave, cfg.layout(arch),
             methods=cfg.res_methods,
             n_scene=cfg.n_scene,

@@ -4,7 +4,8 @@ In the Fresnel regime (standoff dominating aperture and scene extents) the
 round-trip kernel separates into a midpoint term and a pure per-pair phase
 mask, so a multistatic array collapses to an effective monostatic array: the
 Tx and Rx delta trains shrunk by 2 and convolved.  The classical DoF count
-2*L1*L2/(lambda*D) follows from the same expansion.
+2*L1*L2/(lambda*D) follows from the same expansion; it is sbp.fresnel_dof,
+with the other SBP formulas, so that no SBP caller needs this module.
 """
 
 from __future__ import annotations
@@ -100,20 +101,6 @@ def fresnel_kernel_midpoint(x_tx, x_rx, u_scene, D: float, wave: WaveContext):
     x_mid = 0.5 * (x_tx + x_rx)
     mask = np.exp(-1j * (k / (4.0 * D)) * (x_tx - x_rx) ** 2)
     return mask * np.exp(-1j * (2.0 * k * D + (k / D) * (x_mid - u) ** 2))
-
-
-def fresnel_dof(L1: float, L2: float, D: float, lam: float) -> float:
-    """Fresnel-regime DoF count 2*L1*L2/(lambda*D), same for mono and multi."""
-    if min(L1, L2, D, lam) <= 0.0:
-        raise ValueError("all Fresnel DoF inputs must be positive")
-    return 2.0 * L1 * L2 / (lam * D)
-
-
-def sbp_g3_fresnel(L1: float, L2: float, D: float, lam: float, theta: float) -> float:
-    """Fresnel approximation of the tilted-scene SBP: fresnel_dof * cos(theta)."""
-    if abs(theta) > 0.5 * math.pi + 1e-12:
-        raise ValueError(f"|theta| must be <= pi/2, got {theta}")
-    return fresnel_dof(L1, L2, D, lam) * math.cos(theta)
 
 
 def effective_aperture(

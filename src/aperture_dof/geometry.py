@@ -18,6 +18,10 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
+# the two array architectures, as ArrayLayout.architecture names them
+MONOSTATIC = "monostatic"
+MULTISTATIC = "multistatic"
+
 
 @dataclass(frozen=True)
 class WaveContext:

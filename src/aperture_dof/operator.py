@@ -44,10 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Aperture, SceneSegment, WaveContext
-
-MONOSTATIC = "monostatic"
-MULTISTATIC = "multistatic"
+from .geometry import MONOSTATIC, MULTISTATIC, Aperture, SceneSegment, WaveContext
 
 # image points per cross-Gram block in adjoint_to_points: large enough for
 # efficient matrix products, small enough that at N = 1000, n_scene = 400 a

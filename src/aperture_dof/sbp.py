@@ -6,7 +6,9 @@ the geometry.  The integral has a closed form for every segment in front of
 the aperture plane: B(u) is a combination of the derivatives of the distances
 from the aperture ends to p(u), so the SBP is a combination of those
 distances at the segment's ends (and at B's kink, where it has one).
-Broadside segments keep the paper's G1 and G2 formulas.
+Broadside segments keep the paper's G1 and G2 formulas.  The Fresnel-regime
+counts sit beside them: fresnel_dof, 2*L1*L2/(lambda*D), is the far-standoff
+limit of the G1 form, and sbp_g3_fresnel scales it by cos(theta).
 """
 
 from __future__ import annotations
@@ -152,6 +154,20 @@ def _sbp_of_tilts(theta: np.ndarray, t: float, half_length: float, aperture: Ape
     missed = np.abs(dr[1].sum(axis=0) - dr[0].sum(axis=0))
     crossed = 2.0 * half_length + (np.sign(sin) * dr).max(axis=0).sum(axis=0)
     return (2.0 / wave.wavelength) * np.where(c[0] * c[1] < 0.0, crossed, missed)
+
+
+def fresnel_dof(L1: float, L2: float, D: float, lam: float) -> float:
+    """Fresnel-regime DoF count 2*L1*L2/(lambda*D), same for mono and multi."""
+    if min(L1, L2, D, lam) <= 0.0:
+        raise ValueError("all Fresnel DoF inputs must be positive")
+    return 2.0 * L1 * L2 / (lam * D)
+
+
+def sbp_g3_fresnel(L1: float, L2: float, D: float, lam: float, theta: float) -> float:
+    """Fresnel approximation of the tilted-scene SBP: fresnel_dof * cos(theta)."""
+    if abs(theta) > 0.5 * math.pi + 1e-12:
+        raise ValueError(f"|theta| must be <= pi/2, got {theta}")
+    return fresnel_dof(L1, L2, D, lam) * math.cos(theta)
 
 
 def compute_sbp(scene: SceneSegment, aperture: Aperture, wave: WaveContext) -> SbpResult:

@@ -7,6 +7,11 @@ from aperture_dof import (
     build_operator,
 )
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,6 +21,8 @@ LAM = 0.005
 L1 = 0.15
 L2 = 0.10
 D = 0.20
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture(scope="session")
@@ -60,3 +67,15 @@ def small_operator(architecture, n_elements=16, n_scene=40, theta=0.0, shift=0.0
 
 def random_gamma(rng, n):
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+def fresh_python(*args, stdout=subprocess.PIPE):
+    """Runs `python *args` in a fresh interpreter with the source tree first on
+    PYTHONPATH and PYTHONUNBUFFERED unset, so a piped stdout is
+    block-buffered as it is for any caller; returns the completed process."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *map(str, args)],
+        stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120, env=env,
+    )

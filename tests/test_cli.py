@@ -2,7 +2,6 @@ import json
 import math
 import os
 import re
-import subprocess
 import sys
 import warnings
 from dataclasses import replace
@@ -24,6 +23,8 @@ from aperture_dof import (
 )
 from aperture_dof import cli
 from aperture_dof.cli import ConfigError, ExperimentConfig, _csv, main
+
+from conftest import fresh_python
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -454,13 +455,13 @@ def test_kspace_command(tmp_path, wave):
 
 
 def test_kspace_check_angles_follow_the_seed(tmp_path, monkeypatch):
-    angles, true_project = [], cli.project_points_onto_line
+    angles, true_project = [], cli.kspace.project_points_onto_line
 
     def recording(samples, angle):
         angles.append(angle)
         return true_project(samples, angle)
 
-    monkeypatch.setattr(cli, "project_points_onto_line", recording)
+    monkeypatch.setattr(cli.kspace, "project_points_onto_line", recording)
     drawn = {}
     for seed in (0, 1, 0):
         angles.clear()
@@ -592,7 +593,7 @@ def test_fresnel_command_builds_one_effective_side_for_both_kernels(tmp_path, mo
             return result
         return wrapped
 
-    monkeypatch.setattr(cli, "fresnel_equivalence_check",
+    monkeypatch.setattr(fresnel, "fresnel_equivalence_check",
                         recording("check", fresnel.fresnel_equivalence_check))
     monkeypatch.setattr(fresnel, "effective_aperture",
                         recording("effective", fresnel.effective_aperture))
@@ -641,8 +642,8 @@ def test_fresnel_sweep_runs_one_check_per_distinct_geometry(tmp_path, monkeypatc
         calls.append((array.aperture.z_plane, n_scene))
         return check(array, scene, wave, n_scene)
 
-    check = cli.fresnel_equivalence_check
-    monkeypatch.setattr(cli, "fresnel_equivalence_check", counting)
+    check = cli.fresnel.fresnel_equivalence_check
+    monkeypatch.setattr(cli.fresnel, "fresnel_equivalence_check", counting)
     assert main(["fresnel", "--config", str(CONFIGS / "fresnel_standoff.cfg"),
                  "--out", str(tmp_path)]) == 0
     assert len(calls) == len(set(calls)) == 6
@@ -763,7 +764,7 @@ def test_out_of_memory_exits_1(tmp_path, monkeypatch, capsys):
     def exhausted(*_):
         raise MemoryError("Unable to allocate 23.8 GiB")
 
-    monkeypatch.setattr(cli, "build_operator", exhausted)
+    monkeypatch.setattr(cli.operator, "build_operator", exhausted)
     cfg = write_config(tmp_path, NOMINAL)
     assert main(["svd", "--config", str(cfg)]) == 1
     assert capsys.readouterr().err.startswith("error: Unable to allocate")
@@ -818,57 +819,67 @@ def test_svd_command_computes_no_singular_vectors(tmp_path, monkeypatch):
 def test_norm_check_catches_a_dropped_rx_weight(tmp_path, monkeypatch, capsys):
     import dataclasses
 
-    true_build = cli.build_operator
+    true_build = cli.operator.build_operator
 
     def unweighted_rx(scene, layout, *args):
         op = true_build(scene, layout, *args)
         t, r = op.factors
         return dataclasses.replace(op, factors=(t, r / math.sqrt(layout.rx_weight)))
 
-    monkeypatch.setattr(cli, "build_operator", unweighted_rx)
+    monkeypatch.setattr(cli.operator, "build_operator", unweighted_rx)
     assert main(["svd", "--config", str(_multistatic_gram_config(tmp_path))]) == 1
     assert "norm deviates" in capsys.readouterr().err
 
 
-def _fresh_python(*args, stdout=subprocess.PIPE):
-    """Runs `python *args` in a fresh interpreter with the source tree first on
-    PYTHONPATH and PYTHONUNBUFFERED unset, so a piped stdout is
-    block-buffered as it is for any caller; returns the completed process."""
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, *map(str, args)],
-        stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120, env=env,
-    )
-
-
-def _assert_runs_without(module, command, config, out):
+def _assert_runs_without(command, config, out, *modules):
     """Runs the command in a fresh interpreter and asserts that it never
-    imported `module`."""
+    loaded any of `modules`.  A layer that the package registered but never
+    ran is not loaded: it is not yet a plain module object."""
     code = (
-        "import sys\n"
+        "import sys, types\n"
         "from aperture_dof.cli import main\n"
         "assert main(sys.argv[1:]) == 0\n"
-        f"assert {module!r} not in sys.modules, '{module} was imported'\n"
+        f"loaded = [m for m in {modules!r} if type(sys.modules.get(m)) is types.ModuleType]\n"
+        "assert not loaded, f'{loaded} loaded'\n"
     )
-    proc = _fresh_python("-c", code, command, "--config", CONFIGS / config, "--out", out)
+    proc = fresh_python("-c", code, command, "--config", CONFIGS / config, "--out", out)
     assert proc.returncode == 0, proc.stderr
 
 
 def test_resolution_does_not_import_numpy_ma(tmp_path):
     # np.unique imports numpy.ma, tens of ms of start-up per process
-    _assert_runs_without("numpy.ma", "resolution", "resolution_g1.cfg", tmp_path)
+    _assert_runs_without("resolution", "resolution_g1.cfg", tmp_path, "numpy.ma")
 
 
 def test_kspace_does_not_import_numpy_random(tmp_path):
     # numpy.random, about 16 ms of start-up, only to draw three check angles
-    _assert_runs_without("numpy.random", "kspace", "nominal.cfg", tmp_path)
+    _assert_runs_without("kspace", "nominal.cfg", tmp_path, "numpy.random")
 
 
 def test_sbp_sweep_does_not_import_numpy_polynomial(tmp_path):
     # numpy.polynomial, about 4 ms and 0.6 MiB of start-up on a 2-vCPU VM:
     # the SBP is in closed form, so no step of a sweep needs quadrature nodes
-    _assert_runs_without("numpy.polynomial", "sbp-sweep", "tilt_sweep.cfg", tmp_path)
+    _assert_runs_without("sbp-sweep", "tilt_sweep.cfg", tmp_path, "numpy.polynomial")
+
+
+@pytest.mark.parametrize("command, config, layers", [
+    ("sbp-sweep", "tilt_sweep.cfg", ("operator", "recon", "fresnel", "kspace", "_svg")),
+    ("kspace", "nominal.cfg", ("operator", "recon", "fresnel", "sbp", "_svg")),
+    ("svd", "nominal.cfg", ("recon", "fresnel", "kspace")),
+    ("resolution", "resolution_g1.cfg", ("fresnel", "sbp", "_svg")),
+])
+def test_each_command_loads_only_the_layers_it_runs(command, config, layers, tmp_path):
+    # each layer loaded is compiled too wherever no bytecode is cached, 1 to
+    # 7 ms of start-up per module
+    _assert_runs_without(command, config, tmp_path, *(f"aperture_dof.{m}" for m in layers))
+
+
+def test_module_entry_runs_clean_under_w_error(tmp_path):
+    # runpy warns when aperture_dof.cli is in sys.modules before it runs it,
+    # as it would be had the package registered cli with its lazy layers
+    proc = fresh_python("-W", "error", "-m", "aperture_dof.cli", "sbp-sweep",
+                        "--config", CONFIGS / "tilt_sweep.cfg", "--out", tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def test_fresh_process_freezes_the_start_up_heap_and_exits_by_outcome(tmp_path):
@@ -880,13 +891,13 @@ def test_fresh_process_freezes_the_start_up_heap_and_exits_by_outcome(tmp_path):
         "assert main(sys.argv[1:]) == 0\n"
         "print(gc.get_freeze_count())\n"
     )
-    proc = _fresh_python("-c", code, "sbp-sweep", "--config", CONFIGS / "tilt_sweep.cfg",
+    proc = fresh_python("-c", code, "sbp-sweep", "--config", CONFIGS / "tilt_sweep.cfg",
                          "--out", tmp_path / "lib")
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout.splitlines()[-1]) >= 10_000
 
     def run(command, config, out):
-        return _fresh_python("-m", "aperture_dof.cli", command, "--config", config, "--out", out)
+        return fresh_python("-m", "aperture_dof.cli", command, "--config", config, "--out", out)
 
     proc = run("sbp-sweep", CONFIGS / "tilt_sweep.cfg", tmp_path / "ok")
     assert proc.returncode == 0, proc.stderr
@@ -910,7 +921,7 @@ def test_process_entry_flushes_stdout_before_it_exits(tmp_path):
     # block-buffered stdout still holds unless run() flushed it first
     out = tmp_path / "out"
     argv = ("-m", "aperture_dof.cli", "kspace", "--config", CONFIGS / "nominal.cfg", "--out", out)
-    proc = _fresh_python(*argv)
+    proc = fresh_python(*argv)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         str(out / name) for name in ("kspace_mono.csv", "kspace_multi.csv", "bandwidth.csv")]
@@ -919,7 +930,7 @@ def test_process_entry_flushes_stdout_before_it_exits(tmp_path):
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        proc = _fresh_python(*argv, stdout=write_end)
+        proc = fresh_python(*argv, stdout=write_end)
     finally:
         os.close(write_end)
     assert proc.returncode == 120

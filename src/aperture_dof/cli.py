@@ -10,6 +10,10 @@ built-in consistency checks passed, and a run that exits 1 or 2 writes no
 file.  Each config key is declared once, with its section, default, parser
 and range checks, on the ExperimentConfig field it sets.  Config errors
 exit 2 and name the offending key.
+
+numpy is imported where arrays are built: in cmd_svd, cmd_kspace and
+cmd_resolution, and in the layers they and cmd_fresnel call.  Importing this
+module, reading a config and running sbp-sweep load none of it.
 """
 
 from __future__ import annotations
@@ -25,8 +29,6 @@ import re
 import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-
-import numpy as np
 
 from . import _svg, fresnel, kspace, operator, recon, sbp
 from .geometry import MONOSTATIC, MULTISTATIC, Aperture, SceneSegment, WaveContext
@@ -304,11 +306,12 @@ _CHECKS = tuple((is_bad, f"[{f.metadata['section']}] {f.metadata['keys'][0][0]}:
 
 
 def _csv(header: list, *columns) -> str:
-    """CSV of equal-length columns: integer and bool columns as %d, the
-    rest as %.9g."""
-    columns = [np.asarray(c) for c in columns]
-    line = ",".join("%d" if c.dtype.kind in "biu" else "%.9g" for c in columns)
-    rows = (line % row for row in zip(*(c.tolist() for c in columns)))
+    """CSV of equal-length columns, each an array or a sequence: a column of
+    Python ints and bools (an integer or bool array's tolist()) as %d, any
+    other as %.9g."""
+    columns = [c.tolist() if hasattr(c, "tolist") else list(c) for c in columns]
+    line = ",".join("%d" if all(isinstance(v, int) for v in c) else "%.9g" for c in columns)
+    rows = (line % row for row in zip(*columns))
     return "\n".join([",".join(header), *rows]) + "\n"
 
 
@@ -341,6 +344,8 @@ def _check(condition: bool, message: str):
 
 
 def cmd_svd(cfg: ExperimentConfig, archs: tuple) -> dict:
+    import numpy as np
+
     wave, aperture, scene = cfg.wave(), cfg.aperture(), cfg.scene()
     sbp_res = sbp.compute_sbp(scene, aperture, wave)
     files = {}
@@ -424,6 +429,8 @@ def cmd_sbp_sweep(cfg: ExperimentConfig) -> dict:
 
 
 def cmd_kspace(cfg: ExperimentConfig) -> dict:
+    import numpy as np
+
     wave, aperture, scene = cfg.wave(), cfg.aperture(), cfg.scene()
     point = scene.point(cfg.kspace_point_u)
     n = cfg.kspace_samples
@@ -508,6 +515,8 @@ def cmd_fresnel(cfg: ExperimentConfig) -> dict:
 
 
 def cmd_resolution(cfg: ExperimentConfig, archs: tuple) -> dict:
+    import numpy as np
+
     wave, aperture, scene = cfg.wave(), cfg.aperture(), cfg.scene()
     curves = {
         arch: recon.resolution_sweep(

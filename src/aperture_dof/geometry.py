@@ -7,14 +7,17 @@ Coordinate conventions used throughout the package:
 * a scene segment is parameterized as p(u) = (t + u*cos(theta), -u*sin(theta))
   for u in [-half_length, +half_length], so positive theta tilts the u > 0
   end of the segment toward the aperture.
+
+WaveContext, Aperture and SceneSegment hold plain floats.  The helpers that
+take or return arrays (SceneSegment.midpoints and points, viewing_angles and
+element_view_angle) import numpy when they run, so a command that builds no
+array never loads it; their np.ndarray annotations are never evaluated.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
@@ -121,6 +124,8 @@ class SceneSegment:
     def midpoints(self, n: int) -> np.ndarray:
         """Scene coordinates u of the midpoints of n equal cells tiling the
         segment; the one scene grid of the operator, images and Fresnel check."""
+        import numpy as np
+
         return -self.half_length + (np.arange(n) + 0.5) * (self.length / n)
 
     def point(self, u: float) -> tuple[float, float]:
@@ -129,6 +134,8 @@ class SceneSegment:
 
     def points(self, u: np.ndarray) -> np.ndarray:
         """Vectorized p(u); returns an (n, 2) array of (x, z) pairs."""
+        import numpy as np
+
         u = np.asarray(u, dtype=float)
         return np.stack(
             [self.shift + u * math.cos(self.theta), -u * math.sin(self.theta)],
@@ -149,6 +156,8 @@ class SceneSegment:
 def _x_and_depth(scene_point, aperture: Aperture) -> tuple:
     """(x', z' + D) of one point or an (m, 2) array of points; raises
     ValueError if any point lies on or behind the aperture plane."""
+    import numpy as np
+
     p = np.asarray(scene_point, dtype=float)
     dz = p[..., 1] - aperture.z_plane
     if np.any(dz <= 0.0):
@@ -165,6 +174,8 @@ def element_view_angle(x_on_aperture: float, scene_point, aperture: Aperture):
     (m, 2) array of points, all in front of the aperture plane; the result
     is a float or an (m,) array.
     """
+    import numpy as np
+
     xp, dz = _x_and_depth(scene_point, aperture)
     angle = np.arctan2(xp - x_on_aperture, dz)
     return float(angle) if angle.ndim == 0 else angle

@@ -9,14 +9,15 @@ distances at the segment's ends (and at B's kink, where it has one).
 Broadside segments keep the paper's G1 and G2 formulas.  The Fresnel-regime
 counts sit beside them: fresnel_dof, 2*L1*L2/(lambda*D), is the far-standoff
 limit of the G1 form, and sbp_g3_fresnel scales it by cos(theta).
+
+Everything here is a few scalar operations per tilt, in plain floats: the
+module imports no numpy, so sbp-sweep never loads it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .geometry import Aperture, SceneSegment, WaveContext
 
@@ -96,15 +97,14 @@ def sbp_numeric(scene: SceneSegment, aperture: Aperture, wave: WaveContext) -> S
         handed to sbp_closed_form_g1 or _g2, kept from when this integral was
         a quadrature so that dof.json's sbp_method strings stay as they were.
     """
-    value = _sbp_of_tilts(np.array([scene.theta]), scene.shift, scene.half_length, aperture,
-                          wave)[0]
+    value = _sbp_of_tilts([scene.theta], scene.shift, scene.half_length, aperture, wave)[0]
     return SbpResult(value=float(value), method="numeric-integral")
 
 
-def _kink(s: np.ndarray, c: np.ndarray, half_length: float) -> np.ndarray:
-    """u in (-half_length, half_length) of the kink of B(u), or NaN where B
-    has none; per tilt, from the (2, tilts) projections s and c of
-    _sbp_of_tilts.
+def _kink(s, c, half_length: float):
+    """u in (-half_length, half_length) of the kink of B(u), or None where B
+    has none; from the projections s = (s_1, s_2) and c = (c_1, c_2) of one
+    tilt in _sbp_of_tilts.
 
     Only when c_1 and c_2 differ in sign does the line cross the aperture:
     every point's arc then holds the stationary direction, and B's other
@@ -113,15 +113,17 @@ def _kink(s: np.ndarray, c: np.ndarray, half_length: float) -> np.ndarray:
     u = -(c_2 s_1 + c_1 s_2) / (c_1 + c_2).  Otherwise, an end on the line
     included, B(u) is smooth.
     """
-    crossed = (c[0] * c[1] < 0.0) & (c[0] + c[1] != 0.0)
-    u = -(c[1] * s[0] + c[0] * s[1]) / np.where(crossed, c[0] + c[1], 1.0)
-    return np.where(crossed & (np.abs(u) < half_length), u, np.nan)
+    if c[0] * c[1] < 0.0 and c[0] + c[1] != 0.0:
+        u = -(c[1] * s[0] + c[0] * s[1]) / (c[0] + c[1])
+        if abs(u) < half_length:
+            return u
+    return None
 
 
-def _sbp_of_tilts(theta: np.ndarray, t: float, half_length: float, aperture: Aperture,
-                  wave: WaveContext) -> np.ndarray:
-    """SBP of SceneSegment(half_length, theta[i], t) for each tilt at once, in
-    closed form; a (tilts,) array.
+def _sbp_of_tilts(theta, t: float, half_length: float, aperture: Aperture,
+                  wave: WaveContext) -> list:
+    """SBP of SceneSegment(half_length, theta[i], t) for each tilt of the
+    sequence theta, in closed form; a list of floats, one per tilt.
 
     Let c_i be the signed distance of the aperture end A_i = (a_i, -D) from
     the line through (t, 0) along d = (cos, -sin), and s_i = ((t, 0) - A_i).d,
@@ -133,27 +135,37 @@ def _sbp_of_tilts(theta: np.ndarray, t: float, half_length: float, aperture: Ape
     -sign(sin) d, and B = (2/lam)(1 + max_i sign(sin) g_i): the dominant end
     switches only at _kink, and on each piece its change of sign(sin) r_i is
     the larger, so SBP = (2/lam)(2 half_length + sum over the pieces of
-    max_i sign(sin) dr_i).  Every step is elementwise, with math.cos and
-    math.sin per tilt as SceneSegment.points takes them, so every value
-    equals sbp_numeric's bit for bit whatever the batch.
+    max_i sign(sin) dr_i).  Each tilt is a few scalar operations in plain
+    floats, with math.cos and math.sin as SceneSegment.points takes them, so
+    every value equals sbp_numeric's bit for bit whatever the batch.
     """
-    cos = np.array([math.cos(th) for th in theta])
-    sin = np.array([math.sin(th) for th in theta])
-    reach = half_length * np.abs(sin).max()
+    cos = [math.cos(th) for th in theta]
+    sin = [math.sin(th) for th in theta]
+    reach = half_length * max(abs(sn) for sn in sin)
     if reach >= aperture.standoff:
         raise ValueError(f"scene segment reaches {reach} toward the aperture plane, "
                          f"at or beyond its standoff {aperture.standoff}")
-    ends = np.array([aperture.a1, aperture.a2])[:, None]
-    c = (t - ends) * sin + aperture.standoff * cos
-    s = (t - ends) * cos - aperture.standoff * sin
-    kink = _kink(s, c, half_length)
-    # the pieces [-h, kink] and [kink, h], or [-h, h] and [h, h] without one
-    u = np.stack([np.full_like(cos, -half_length), np.where(np.isnan(kink), half_length, kink),
-                  np.full_like(cos, half_length)])
-    dr = np.diff(np.hypot(s[:, None] + u, c[:, None]), axis=1)  # (end, piece, tilt)
-    missed = np.abs(dr[1].sum(axis=0) - dr[0].sum(axis=0))
-    crossed = 2.0 * half_length + (np.sign(sin) * dr).max(axis=0).sum(axis=0)
-    return (2.0 / wave.wavelength) * np.where(c[0] * c[1] < 0.0, crossed, missed)
+    ends = (aperture.a1, aperture.a2)
+    values = []
+    for cs, sn in zip(cos, sin):
+        c = [(t - a) * sn + aperture.standoff * cs for a in ends]
+        s = [(t - a) * cs - aperture.standoff * sn for a in ends]
+        kink = _kink(s, c, half_length)
+        # the pieces [-h, kink] and [kink, h], or [-h, h] and [h, h] without one
+        u = (-half_length, half_length if kink is None else kink, half_length)
+        # r_i at the piece ends as abs(complex), which is the C library's
+        # hypot, as np.hypot is; math.hypot, Python's own, differs from it
+        # in the last bit for about 1% of arguments
+        r = [[abs(complex(si + uj, ci)) for uj in u] for si, ci in zip(s, c)]
+        dr = [[ri[1] - ri[0], ri[2] - ri[1]] for ri in r]  # [end][piece]
+        if c[0] * c[1] < 0.0:
+            sg = math.copysign(1.0, sn)
+            v = 2.0 * half_length + (max(sg * dr[0][0], sg * dr[1][0])
+                                     + max(sg * dr[0][1], sg * dr[1][1]))
+        else:
+            v = abs((dr[1][0] + dr[1][1]) - (dr[0][0] + dr[0][1]))
+        values.append((2.0 / wave.wavelength) * v)
+    return values
 
 
 def fresnel_dof(L1: float, L2: float, D: float, lam: float) -> float:
@@ -229,17 +241,18 @@ def theta_max(scene: SceneSegment, aperture: Aperture, wave: WaveContext) -> flo
         seg = SceneSegment(scene.half_length, theta, t)
         return sbp_numeric(seg, aperture, wave).value
 
-    grid = np.linspace(-0.5 * math.pi, 0.5 * math.pi, 181)
+    # np.linspace(-pi/2, pi/2, 181)'s own arithmetic, bit for bit
+    step = math.pi / 180
+    grid = [i * step - 0.5 * math.pi for i in range(180)] + [0.5 * math.pi]
     # one end of the segment lies half_length * |sin theta| nearer the aperture than z = 0
-    grid = grid[[scene.half_length * abs(math.sin(th)) < aperture.standoff for th in grid]]
+    grid = [th for th in grid if scene.half_length * abs(math.sin(th)) < aperture.standoff]
     values = _sbp_of_tilts(grid, t, scene.half_length, aperture, wave)
-    best = int(np.argmax(values))
     # deterministic tie-break: smallest |theta| among near-equal maxima
-    near = np.nonzero(values >= values[best] * (1.0 - 1e-12))[0]
-    best = int(near[np.argmin(np.abs(grid[near]))])
+    floor = max(values) * (1.0 - 1e-12)
+    best = min((i for i, v in enumerate(values) if v >= floor), key=lambda i: abs(grid[i]))
 
     lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, grid.size - 1)]
+    hi = grid[min(best + 1, len(grid) - 1)]
     x1 = hi - _GOLDEN * (hi - lo)
     x2 = lo + _GOLDEN * (hi - lo)
     f1, f2 = objective(x1), objective(x2)

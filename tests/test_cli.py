@@ -352,6 +352,22 @@ def test_csv_columns_print_each_value_as_the_scalar_format():
     assert text == "\n".join(expected) + "\n"
 
 
+@pytest.mark.parametrize("column", [
+    np.array([3, -7, 2**40]),
+    np.array([200, 7], dtype=np.uint8),
+    np.array([True, False, True]),
+    np.array([0.25, 3.0, -1e300]),
+    (0.25, 3.0, -2.0),
+    (4, -5, 2**40),
+], ids=["int64", "uint8", "bool", "float64", "float-tuple", "int-tuple"])
+def test_csv_formats_each_column_by_the_numpy_dtype_rule(column):
+    # oracle: the rule of _csv when it passed every column through np.asarray;
+    # 0.25 and 2**40 print differently as %d and as %.9g
+    fmt = "%d" if np.asarray(column).dtype.kind in "biu" else "%.9g"
+    expected = ["c", *(fmt % v for v in np.asarray(column).tolist())]
+    assert _csv(["c"], column) == "\n".join(expected) + "\n"
+
+
 def test_reruns_are_byte_identical(tmp_path):
     cfg = write_config(tmp_path, NOMINAL)
     main(["svd", "--config", str(cfg), "--out", str(tmp_path / "a")])
@@ -856,10 +872,27 @@ def test_kspace_does_not_import_numpy_random(tmp_path):
     _assert_runs_without("kspace", "nominal.cfg", tmp_path, "numpy.random")
 
 
-def test_sbp_sweep_does_not_import_numpy_polynomial(tmp_path):
-    # numpy.polynomial, about 4 ms and 0.6 MiB of start-up on a 2-vCPU VM:
-    # the SBP is in closed form, so no step of a sweep needs quadrature nodes
-    _assert_runs_without("sbp-sweep", "tilt_sweep.cfg", tmp_path, "numpy.polynomial")
+@pytest.mark.parametrize("config", [CONFIGS / "tilt_sweep.cfg",
+                                    ROOT / "perfbench" / "configs" / "t_sweep.cfg"],
+                         ids=lambda p: p.name)
+def test_sbp_sweep_runs_without_numpy(config, tmp_path):
+    # import numpy, 55-105 ms, would be nearly all of a sweep process after
+    # interpreter start-up: the SBP is a few hypots per tilt in plain floats
+    _assert_runs_without("sbp-sweep", config, tmp_path, "numpy")
+
+
+def test_importing_cli_and_reading_every_config_loads_no_numpy():
+    # the start-up every command pays before it runs: only the commands that
+    # build arrays import numpy
+    code = (
+        "import sys\n"
+        "import aperture_dof.cli\n"
+        "for path in sys.argv[1:]:\n"
+        "    aperture_dof.cli.ExperimentConfig.from_file(path)\n"
+        "assert 'numpy' not in sys.modules, 'numpy loaded'\n"
+    )
+    proc = fresh_python("-c", code, *SHIPPED_CONFIGS)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("command, config, layers", [
@@ -883,8 +916,8 @@ def test_module_entry_runs_clean_under_w_error(tmp_path):
 
 
 def test_fresh_process_freezes_the_start_up_heap_and_exits_by_outcome(tmp_path):
-    # the import heap (about 22 000 objects with numpy) leaves the collections
-    # at interpreter exit only if main() froze it
+    # the import heap (about 13 800 objects for sbp-sweep, which loads no
+    # numpy) leaves the collections at interpreter exit only if main() froze it
     code = (
         "import gc, sys\n"
         "from aperture_dof.cli import main\n"

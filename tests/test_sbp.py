@@ -80,13 +80,12 @@ def test_numeric_splits_at_the_kink():
     ap = Aperture.centered(L1, D)
     wave = WaveContext(LAM)
     seg = SceneSegment(0.225, math.radians(-61.0), 0.15)
-    cos, sin = np.array([math.cos(seg.theta)]), np.array([math.sin(seg.theta)])
-    ends = np.array([ap.a1, ap.a2])[:, None]
-    s = (seg.shift - ends) * cos - D * sin
-    c = (seg.shift - ends) * sin + D * cos
+    cos, sin = math.cos(seg.theta), math.sin(seg.theta)
+    s = [(seg.shift - a) * cos - D * sin for a in (ap.a1, ap.a2)]
+    c = [(seg.shift - a) * sin + D * cos for a in (ap.a1, ap.a2)]
     kink = sbp._kink(s, c, seg.half_length)
-    assert kink[0] == pytest.approx(-0.17797, abs=1e-5)
-    assert kink[0] == pytest.approx(bandwidth_integral.kink(seg, ap), abs=1e-15)
+    assert kink == pytest.approx(-0.17797, abs=1e-5)
+    assert kink == pytest.approx(bandwidth_integral.kink(seg, ap), abs=1e-15)
     reference = bandwidth_integral.integral(seg, ap, wave)
     assert _within_rounding(sbp_numeric(seg, ap, wave).value, reference)
     # the same quadrature across the uncut slope jump misses by about 5e-6
@@ -275,8 +274,8 @@ def test_theta_max_coarse_grid_matches_per_tilt_integrals(monkeypatch, t, h):
     monkeypatch.setattr(sbp, "_sbp_of_tilts", recording)
     theta_max(SceneSegment(h, shift=t), ap, wave)
     # the coarse grid in one batch, then one single-tilt call per golden-section step
-    chunks = [(th, v) for th, v in calls if th.size > 1]
-    assert [th.size for th, _ in chunks] == [181]
+    chunks = [(th, v) for th, v in calls if len(th) > 1]
+    assert [len(th) for th, _ in chunks] == [181]
     grid = np.concatenate([th for th, _ in chunks])
     np.testing.assert_array_equal(grid, np.linspace(-0.5 * math.pi, 0.5 * math.pi, 181))
     got = np.concatenate([v for _, v in chunks])

@@ -8,12 +8,14 @@ for svd, an optional SVG plot.  main writes them only once the command has
 returned, so exit code 0 means every requested analysis completed and the
 built-in consistency checks passed, and a run that exits 1 or 2 writes no
 file.  Each config key is declared once, with its section, default, parser
-and range checks, on the ExperimentConfig field it sets.  Config errors
-exit 2 and name the offending key.
+and range checks, in the _FIELDS row of the ExperimentConfig field it sets.
+Config errors exit 2 and name the offending key.
 
 numpy is imported where arrays are built: in cmd_svd, cmd_kspace and
-cmd_resolution, and in the layers they and cmd_fresnel call.  Importing this
-module, reading a config and running sbp-sweep load none of it.
+cmd_resolution, and in the layers they and cmd_fresnel call; json where
+svd and fresnel write it.  Importing this module, reading a config and
+running sbp-sweep load none of numpy, json or dataclasses: the config and
+the geometry and SBP values it builds are namedtuples.
 """
 
 from __future__ import annotations
@@ -21,13 +23,12 @@ from __future__ import annotations
 import argparse
 import configparser
 import gc
-import json
 import math
 import os
 import random
 import re
 import sys
-from dataclasses import dataclass, field, fields, replace
+from collections import namedtuple
 from pathlib import Path
 
 from . import _svg, fresnel, kspace, operator, recon, sbp
@@ -130,7 +131,7 @@ def _parse_spacing(text: str, where: str, got: dict) -> int:
     pitch = _parse_length(text, where)
     if pitch <= 0.0:
         raise ConfigError(f"{where}: must be positive")
-    L1 = got.get("L1", ExperimentConfig.L1)
+    L1 = got.get("L1", _FIELDS["L1"].default)
     derived = max(1, round(L1 / pitch))
     if "n_elements" in got and derived != got["n_elements"]:
         raise ConfigError(
@@ -170,58 +171,75 @@ def _parse_sweep_values(text: str, where: str, got: dict) -> tuple:
     return tuple(parse(v, where) for v in _parse_list(text))
 
 
-def _key(default, section: str, key: str, parse, *checks, also: tuple = ()):
+# One row of _FIELDS: a field's default, the [section] that sets it, its keys
+# as (key, parser) pairs and its range checks as (is_bad(config), tail).
+_Field = namedtuple("_Field", "default section keys checks")
+
+
+def _key(default, section: str, key: str, parse, *checks, also: tuple = ()) -> _Field:
     """A field set by [section] key and by each (key, parser) in `also`.  A parser
     takes (text, "[section] key", the values parsed so far by attribute; only
     spacing and sweep values read them); a check is (is_bad(config), tail)."""
-    return field(default=default, metadata={
-        "section": section, "keys": ((key, parse), *also), "checks": checks})
+    return _Field(default, section, ((key, parse), *also), checks)
 
 
-@dataclass
-class ExperimentConfig:
-    """Fully resolved experiment parameters (SI units, radians); fields in parse order."""
-
-    wavelength: float = _key(0.005, "geometry", "lambda", _parse_length,
-                             (lambda c: c.wavelength <= 0.0, "must be positive"))
-    L1: float = _key(0.15, "geometry", "L1", _parse_length,
-                     (lambda c: c.L1 <= 0.0, "must be positive"))
-    L2: float = _key(0.10, "geometry", "L2", _parse_length,
-                     (lambda c: c.L2 <= 0.0, "empty scene, must be positive"))
-    D: float = _key(0.20, "geometry", "D", _parse_length,
-                    (lambda c: c.D <= 0.0, "must be positive"))
-    theta: float = _key(
+# The config table: ExperimentConfig's fields in parse order, each declared
+# once, as attribute -> _Field.  source, the path read, is the one field that
+# no key sets.
+_FIELDS = {
+    "wavelength": _key(0.005, "geometry", "lambda", _parse_length,
+                       (lambda c: c.wavelength <= 0.0, "must be positive")),
+    "L1": _key(0.15, "geometry", "L1", _parse_length,
+               (lambda c: c.L1 <= 0.0, "must be positive")),
+    "L2": _key(0.10, "geometry", "L2", _parse_length,
+               (lambda c: c.L2 <= 0.0, "empty scene, must be positive")),
+    "D": _key(0.20, "geometry", "D", _parse_length,
+              (lambda c: c.D <= 0.0, "must be positive")),
+    "theta": _key(
         0.0, "geometry", "theta", _parse_angle,
         (lambda c: abs(c.theta) > 0.5 * math.pi, "|theta| must be <= 90 deg"),
         (lambda c: c.L2 / 2.0 * abs(math.sin(c.theta)) >= c.D,
-         "the tilted scene reaches the aperture plane, (L2/2)|sin theta| must be < D"))
-    t: float = _key(0.0, "geometry", "t", _parse_length)
-    architecture: str = _key("both", "array", "architecture", _parse_architecture)
-    n_elements: int = _key(200, "array", "n_elements", _parse_int,
-                           (lambda c: c.n_elements < 1, "must be >= 1"),
-                           also=(("spacing", _parse_spacing),))
-    n_scene: int = _key(400, "discretization", "n_scene", _parse_int,
-                        (lambda c: c.n_scene < 2, "must be >= 2"))
-    kspace_samples: int = _key(512, "discretization", "kspace_samples", _parse_int,
-                               (lambda c: c.kspace_samples < 2, "must be >= 2"))
-    out_dir: str = _key("results", "run", "out_dir", lambda text, *_: text.strip(),
-                        (lambda c: not c.out_dir, "must not be empty"))  # Path("") is the cwd
-    seed: int = _key(0, "run", "seed", _parse_int)
-    svg: bool = _key(True, "run", "svg", _parse_bool)
-    analyses: tuple | None = _key(None, "run", "analyses",
-                                  _name_list("analysis", tuple(_COMMANDS)))
-    sweep_param: str | None = _key(None, "sweep", "param", _parse_sweep_param)
-    sweep_values: tuple = _key((), "sweep", "values", _parse_sweep_values)
-    sweep_include_fresnel: bool = _key(False, "sweep", "include_fresnel", _parse_bool)
-    sweep_include_theta: bool = _key(False, "sweep", "include_theta", _parse_bool)
-    res_n_targets: int = _key(21, "resolution", "n_targets", _parse_int,
-                              (lambda c: c.res_n_targets < 1, "must be >= 1"))
-    res_oversample: int = _key(4, "resolution", "oversample", _parse_int,
-                               (lambda c: c.res_oversample < 1, "must be >= 1"))
-    res_methods: tuple = _key(("pinv", "mf"), "resolution", "methods",
-                              _name_list("method", ("pinv", "mf")))
-    kspace_point_u: float = _key(0.0, "kspace", "point_u", _parse_length)
-    source: str = field(default="<defaults>", repr=False)
+         "the tilted scene reaches the aperture plane, (L2/2)|sin theta| must be < D")),
+    "t": _key(0.0, "geometry", "t", _parse_length),
+    "architecture": _key("both", "array", "architecture", _parse_architecture),
+    "n_elements": _key(200, "array", "n_elements", _parse_int,
+                       (lambda c: c.n_elements < 1, "must be >= 1"),
+                       also=(("spacing", _parse_spacing),)),
+    "n_scene": _key(400, "discretization", "n_scene", _parse_int,
+                    (lambda c: c.n_scene < 2, "must be >= 2")),
+    "kspace_samples": _key(512, "discretization", "kspace_samples", _parse_int,
+                           (lambda c: c.kspace_samples < 2, "must be >= 2")),
+    "out_dir": _key("results", "run", "out_dir", lambda text, *_: text.strip(),
+                    (lambda c: not c.out_dir, "must not be empty")),  # Path("") is the cwd
+    "seed": _key(0, "run", "seed", _parse_int),
+    "svg": _key(True, "run", "svg", _parse_bool),
+    "analyses": _key(None, "run", "analyses", _name_list("analysis", tuple(_COMMANDS))),
+    "sweep_param": _key(None, "sweep", "param", _parse_sweep_param),
+    "sweep_values": _key((), "sweep", "values", _parse_sweep_values),
+    "sweep_include_fresnel": _key(False, "sweep", "include_fresnel", _parse_bool),
+    "sweep_include_theta": _key(False, "sweep", "include_theta", _parse_bool),
+    "res_n_targets": _key(21, "resolution", "n_targets", _parse_int,
+                          (lambda c: c.res_n_targets < 1, "must be >= 1")),
+    "res_oversample": _key(4, "resolution", "oversample", _parse_int,
+                           (lambda c: c.res_oversample < 1, "must be >= 1")),
+    "res_methods": _key(("pinv", "mf"), "resolution", "methods",
+                        _name_list("method", ("pinv", "mf"))),
+    "kspace_point_u": _key(0.0, "kspace", "point_u", _parse_length),
+    "source": _Field("<defaults>", None, (), ()),
+}
+
+
+class ExperimentConfig(namedtuple("ExperimentConfig", _FIELDS,
+                                  defaults=[f.default for f in _FIELDS.values()])):
+    """Fully resolved experiment parameters (SI units, radians); fields in
+    parse order, as _FIELDS declares them.
+
+    A namedtuple, as geometry's value types are, so reading a config loads
+    no dataclasses: immutable, hashable, keyword-constructible, and a copy
+    with fields changed is _replace(**changes).  Its equality is a tuple's;
+    every comparison is between two configs."""
+
+    __slots__ = ()
 
     def validate(self):
         # each swept value must pass the same checks as the key it overrides
@@ -240,7 +258,7 @@ class ExperimentConfig:
         [sweep] value, in order: the one sweep driver, for validate() and
         every command that sweeps.  Sweep parameters are named after the
         attributes they override."""
-        return [(v, replace(self, **{self.sweep_param: v})) for v in self.sweep_values]
+        return [(v, self._replace(**{self.sweep_param: v})) for v in self.sweep_values]
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
@@ -294,15 +312,13 @@ class ExperimentConfig:
         return operator.ArrayLayout.uniform(self.aperture(), self.n_elements, architecture)
 
 
-# Built once from the fields: every accepted key as (section, key, attribute,
+# Built once from _FIELDS: every accepted key as (section, key, attribute,
 # parser) in parse order, and validate()'s range checks as (is_bad,
 # "[section] key: tail"), each named after the first key of its field.
-_KEYS = tuple((f.metadata["section"], key, f.name, parse)
-              for f in fields(ExperimentConfig) if f.metadata
-              for key, parse in f.metadata["keys"])
-_CHECKS = tuple((is_bad, f"[{f.metadata['section']}] {f.metadata['keys'][0][0]}: {tail}")
-                for f in fields(ExperimentConfig) if f.metadata
-                for is_bad, tail in f.metadata["checks"])
+_KEYS = tuple((f.section, key, name, parse)
+              for name, f in _FIELDS.items() for key, parse in f.keys)
+_CHECKS = tuple((is_bad, f"[{f.section}] {f.keys[0][0]}: {tail}")
+                for f in _FIELDS.values() for is_bad, tail in f.checks)
 
 
 def _csv(header: list, *columns) -> str:
@@ -316,6 +332,8 @@ def _csv(header: list, *columns) -> str:
 
 
 def _json(payload: dict) -> str:
+    import json  # only svd and fresnel write JSON: about 3 ms of start-up spared
+
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
@@ -543,6 +561,11 @@ def cmd_resolution(cfg: ExperimentConfig, archs: tuple) -> dict:
             abs(b_ref * recip - 1.0) <= 1e-6,
             "reciprocal bandwidth column deviates from the aperture-sampled reference",
         )
+    # a Gram or spectrum that over- or underflowed images to NaN, whose
+    # widths would only read as flagged
+    for arch, curve in curves.items():
+        for method, psf in curve.profiles.items():
+            _check(bool(np.isfinite(psf).all()), f"{arch} {method} PSFs are not finite")
 
     # formatted after the check: its temporaries and the tables' text would add up at the peak
     files = {}

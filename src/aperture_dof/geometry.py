@@ -12,12 +12,21 @@ WaveContext, Aperture and SceneSegment hold plain floats.  The helpers that
 take or return arrays (SceneSegment.midpoints and points, viewing_angles and
 element_view_angle) import numpy when they run, so a command that builds no
 array never loads it; their np.ndarray annotations are never evaluated.
+
+The value types here and sbp.SbpResult are namedtuple subclasses, not
+dataclasses: collections is loaded at start-up anyway, while dataclasses
+brings in inspect, ast, dis and tokenize and runs an exec per class, about
+10 ms of every process that imports no numpy (sbp-sweep, a config read).
+They are immutable and hashable, take their fields by keyword and print as
+the dataclasses did.  Their equality is a tuple's, so compare values of one
+type only: Aperture(0.0, 1.0, 2.0) == SceneSegment(0.0, 1.0, 2.0) == (0.0, 1.0, 2.0),
+and no caller relies on values of different types comparing unequal.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 TWO_PI = 2.0 * math.pi
 
@@ -26,8 +35,16 @@ MONOSTATIC = "monostatic"
 MULTISTATIC = "multistatic"
 
 
-@dataclass(frozen=True)
-class WaveContext:
+def _value_type(typename: str, field_names: str):
+    """namedtuple base of a value type whose subclass checks its fields in
+    __new__.  Its _make, which _replace calls, builds through the class too,
+    so no instance skips the checks."""
+    base = namedtuple(typename, field_names)
+    base._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return base
+
+
+class WaveContext(_value_type("WaveContext", "wavelength")):
     """Monochromatic illumination context.
 
     Attributes
@@ -36,11 +53,12 @@ class WaveContext:
         Free-space wavelength in meters, > 0.
     """
 
-    wavelength: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.wavelength > 0.0):
-            raise ValueError(f"wavelength must be positive, got {self.wavelength}")
+    def __new__(cls, wavelength: float):
+        if not (wavelength > 0.0):
+            raise ValueError(f"wavelength must be positive, got {wavelength}")
+        return super().__new__(cls, wavelength)
 
     @property
     def k(self) -> float:
@@ -48,8 +66,7 @@ class WaveContext:
         return TWO_PI / self.wavelength
 
 
-@dataclass(frozen=True)
-class Aperture:
+class Aperture(_value_type("Aperture", "a1 a2 standoff")):
     """Linear aperture [a1, a2] on the plane z = -standoff.
 
     Attributes
@@ -60,15 +77,14 @@ class Aperture:
         Distance D > 0 between the aperture line and the z = 0 scene plane.
     """
 
-    a1: float
-    a2: float
-    standoff: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.a1 < self.a2):
-            raise ValueError(f"aperture requires a1 < a2, got [{self.a1}, {self.a2}]")
-        if not (self.standoff > 0.0):
-            raise ValueError(f"standoff must be positive, got {self.standoff}")
+    def __new__(cls, a1: float, a2: float, standoff: float):
+        if not (a1 < a2):
+            raise ValueError(f"aperture requires a1 < a2, got [{a1}, {a2}]")
+        if not (standoff > 0.0):
+            raise ValueError(f"standoff must be positive, got {standoff}")
+        return super().__new__(cls, a1, a2, standoff)
 
     @property
     def length(self) -> float:
@@ -85,8 +101,7 @@ class Aperture:
         return cls(-0.5 * length, 0.5 * length, standoff)
 
 
-@dataclass(frozen=True)
-class SceneSegment:
+class SceneSegment(_value_type("SceneSegment", "half_length theta shift")):
     """Straight scene segment of length 2*half_length.
 
     The segment passes through (t, 0) and makes angle theta with the x axis:
@@ -104,18 +119,17 @@ class SceneSegment:
         Cross-range offset t of the segment midpoint.
     """
 
-    half_length: float
-    theta: float = 0.0
-    shift: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("half_length", "theta", "shift"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.half_length < 0.0:
-            raise ValueError(f"half_length must be >= 0, got {self.half_length}")
-        if abs(self.theta) > 0.5 * math.pi + 1e-12:
-            raise ValueError(f"|theta| must be <= pi/2, got {self.theta}")
+    def __new__(cls, half_length: float, theta: float = 0.0, shift: float = 0.0):
+        for name, value in (("half_length", half_length), ("theta", theta), ("shift", shift)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if half_length < 0.0:
+            raise ValueError(f"half_length must be >= 0, got {half_length}")
+        if abs(theta) > 0.5 * math.pi + 1e-12:
+            raise ValueError(f"|theta| must be <= pi/2, got {theta}")
+        return super().__new__(cls, half_length, theta, shift)
 
     @property
     def length(self) -> float:

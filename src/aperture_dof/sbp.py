@@ -11,31 +11,30 @@ counts sit beside them: fresnel_dof, 2*L1*L2/(lambda*D), is the far-standoff
 limit of the G1 form, and sbp_g3_fresnel scales it by cos(theta).
 
 Everything here is a few scalar operations per tilt, in plain floats: the
-module imports no numpy, so sbp-sweep never loads it.
+module imports neither numpy nor dataclasses (SbpResult is a namedtuple, as
+geometry's value types are), so sbp-sweep loads none of them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .geometry import Aperture, SceneSegment, WaveContext
+from .geometry import Aperture, SceneSegment, WaveContext, _value_type
 
 
-@dataclass(frozen=True)
-class SbpResult:
+class SbpResult(_value_type("SbpResult", "value method")):
     """SBP value with the formula that produced it: the paper's broadside
     'closed-form-G1' or 'closed-form-G2', or 'numeric-integral' for
     sbp_numeric's closed form, a label older than that form."""
 
-    value: float
-    method: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.method not in ("closed-form-G1", "closed-form-G2", "numeric-integral"):
-            raise ValueError(f"unknown SBP method {self.method!r}")
-        if self.value < 0.0:
-            raise ValueError(f"SBP must be >= 0, got {self.value}")
+    def __new__(cls, value: float, method: str):
+        if method not in ("closed-form-G1", "closed-form-G2", "numeric-integral"):
+            raise ValueError(f"unknown SBP method {method!r}")
+        if value < 0.0:
+            raise ValueError(f"SBP must be >= 0, got {value}")
+        return super().__new__(cls, value, method)
 
 
 def sbp_closed_form_g1(L1: float, L2: float, D: float, lam: float) -> float:

@@ -4,7 +4,6 @@ import os
 import re
 import sys
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -147,7 +146,7 @@ def test_each_key_sets_its_attribute(tmp_path, section, key, text, attr, expecte
     path.write_text(body)
     defaults = ExperimentConfig(source=str(path))
     assert getattr(defaults, attr) != expected
-    assert ExperimentConfig.from_file(path) == replace(defaults, **want)
+    assert ExperimentConfig.from_file(path) == defaults._replace(**want)
 
 
 def test_readme_config_example_names_every_key():
@@ -517,6 +516,43 @@ def test_resolution_on_a_scene_beyond_the_bandwidth_exits_1_and_writes_nothing(t
                           "large"), err
 
 
+@pytest.mark.parametrize("change, message", [
+    (("L1 = 15cm", "L1 = 1e300"), "error: internal consistency check failed: multistatic "),
+    (("L2 = 10cm\nD = 20cm", "L2 = 1e-300\nD = 1e-300"),
+     "error: internal consistency check failed: monostatic pinv "),
+], ids=["multi-gram-overflow", "pinv-underflow"])
+def test_resolution_with_non_finite_psfs_exits_1_and_writes_nothing(tmp_path, capsys,
+                                                                     change, message):
+    # the multistatic Gram overflows at L1 = 1e300, and the PINV image divides
+    # by singular values that underflow at D = L2 = 1e-300; both once wrote
+    # NaN PSFs, every width NaN and flagged, with exit 0
+    path = write_config(tmp_path, NOMINAL.replace(*change))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow warnings
+        assert main(["resolution", "--config", str(path), "--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.endswith("PSFs are not finite\n"), err
+
+
+@pytest.mark.parametrize("config", [CONFIGS / "tilt_sweep.cfg", CONFIGS / "fresnel_standoff.cfg",
+                                    ROOT / "perfbench" / "configs" / "t_sweep.cfg"],
+                         ids=lambda p: p.name)
+def test_each_swept_config_is_the_base_but_for_the_swept_field(config):
+    cfg = ExperimentConfig.from_file(config)
+    swept = cfg.sweep()
+    assert swept and [value for value, _ in swept] == list(cfg.sweep_values)
+    base = getattr(cfg, cfg.sweep_param)
+    for value, at in swept:
+        assert type(at) is ExperimentConfig and getattr(at, cfg.sweep_param) == value
+        assert at._replace(**{cfg.sweep_param: base}) == cfg
+    # immutable and hashable, as the geometry values it builds
+    assert hash(ExperimentConfig.from_file(config)) == hash(cfg)
+    with pytest.raises(AttributeError):
+        cfg.L1 = 1.0
+
+
 def test_sbp_sweep_calls_the_traced_sbp_numeric(tmp_path, monkeypatch):
     # perfbench/trace_child.py sees the SBP layer only through the public
     # name it wraps in every aperture_dof namespace that holds it
@@ -868,8 +904,9 @@ def test_resolution_does_not_import_numpy_ma(tmp_path):
 
 
 def test_kspace_does_not_import_numpy_random(tmp_path):
-    # numpy.random, about 16 ms of start-up, only to draw three check angles
-    _assert_runs_without("kspace", "nominal.cfg", tmp_path, "numpy.random")
+    # numpy.random, about 16 ms of start-up, only to draw three check angles;
+    # dataclasses and json, which the config path and kspace never use
+    _assert_runs_without("kspace", "nominal.cfg", tmp_path, "numpy.random", "dataclasses", "json")
 
 
 @pytest.mark.parametrize("config", [CONFIGS / "tilt_sweep.cfg",
@@ -877,19 +914,22 @@ def test_kspace_does_not_import_numpy_random(tmp_path):
                          ids=lambda p: p.name)
 def test_sbp_sweep_runs_without_numpy(config, tmp_path):
     # import numpy, 55-105 ms, would be nearly all of a sweep process after
-    # interpreter start-up: the SBP is a few hypots per tilt in plain floats
-    _assert_runs_without("sbp-sweep", config, tmp_path, "numpy")
+    # interpreter start-up: the SBP is a few hypots per tilt in plain floats.
+    # dataclasses, with the inspect it imports, and json add about 10 ms more
+    _assert_runs_without("sbp-sweep", config, tmp_path, "numpy", "dataclasses", "inspect", "json")
 
 
 def test_importing_cli_and_reading_every_config_loads_no_numpy():
     # the start-up every command pays before it runs: only the commands that
-    # build arrays import numpy
+    # build arrays import numpy, and only those that write JSON import json;
+    # the config and geometry values are namedtuples, not dataclasses
     code = (
         "import sys\n"
         "import aperture_dof.cli\n"
         "for path in sys.argv[1:]:\n"
         "    aperture_dof.cli.ExperimentConfig.from_file(path)\n"
-        "assert 'numpy' not in sys.modules, 'numpy loaded'\n"
+        "loaded = [m for m in ('numpy', 'dataclasses', 'inspect', 'json') if m in sys.modules]\n"
+        "assert not loaded, f'{loaded} loaded'\n"
     )
     proc = fresh_python("-c", code, *SHIPPED_CONFIGS)
     assert proc.returncode == 0, proc.stderr

@@ -9,6 +9,7 @@ from aperture_dof import (
     MULTISTATIC,
     Aperture,
     ArrayLayout,
+    SbpResult,
     SceneSegment,
     WaveContext,
     viewing_angles,
@@ -80,6 +81,29 @@ def test_scene_validation():
         SceneSegment(0.05, theta=2.0)
     # right-angle tilt is the boundary case and stays legal
     SceneSegment(0.05, theta=0.5 * math.pi)
+
+
+@pytest.mark.parametrize("value, fields, text, bad", [
+    (WaveContext(0.005), {"wavelength": 0.005}, "WaveContext(wavelength=0.005)",
+     {"wavelength": -1.0}),
+    (Aperture.centered(0.15, 0.2), {"a1": -0.075, "a2": 0.075, "standoff": 0.2},
+     "Aperture(a1=-0.075, a2=0.075, standoff=0.2)", {"a1": 1.0}),
+    (SceneSegment(0.05, 0.3), {"half_length": 0.05, "theta": 0.3, "shift": 0.0},
+     "SceneSegment(half_length=0.05, theta=0.3, shift=0.0)", {"half_length": -1.0}),
+    (SbpResult(27.5, "closed-form-G1"), {"value": 27.5, "method": "closed-form-G1"},
+     "SbpResult(value=27.5, method='closed-form-G1')", {"value": -1.0}),
+], ids=["wave", "aperture", "scene", "sbp-result"])
+def test_value_types_are_immutable_hashable_and_print_as_before(value, fields, text, bad):
+    # namedtuples, where they were frozen dataclasses: the same contract
+    twin = type(value)(**fields)
+    assert twin == value and hash(twin) == hash(value)
+    assert repr(value) == text
+    for name in (*fields, "other"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 1.0)
+    # _replace builds through the class, so its checks still run
+    with pytest.raises(ValueError):
+        value._replace(**bad)
 
 
 NAN, INF = float("nan"), float("inf")

@@ -96,11 +96,10 @@ def _parse_list(text: str, *_) -> tuple:
     return tuple(s.strip() for s in text.split(",") if s.strip())
 
 
+# [array] architecture and --arch take the same tokens
 _ARCH_TOKENS = {
     "mono": (MONOSTATIC,),
-    "monostatic": (MONOSTATIC,),
     "multi": (MULTISTATIC,),
-    "multistatic": (MULTISTATIC,),
     "both": (MONOSTATIC, MULTISTATIC),
 }
 
@@ -120,25 +119,12 @@ _SWEEP_PARAMS = ("t", "D", "L2", "theta")
 
 
 def _parse_architecture(text: str, where: str, *_) -> str:
-    token = text.strip().lower()
+    token = text.strip()
     if token not in _ARCH_TOKENS:
-        raise ConfigError(f"{where}: unknown value {text!r}")
+        *head, last = _ARCH_TOKENS
+        raise ConfigError(f"{where}: unknown value {text!r}, "
+                          f"expected {', '.join(head)} or {last}")
     return token
-
-
-def _parse_spacing(text: str, where: str, got: dict) -> int:
-    """Element count L1/spacing; must agree with an explicit n_elements."""
-    pitch = _parse_length(text, where)
-    if pitch <= 0.0:
-        raise ConfigError(f"{where}: must be positive")
-    L1 = got.get("L1", _FIELDS["L1"].default)
-    derived = max(1, round(L1 / pitch))
-    if "n_elements" in got and derived != got["n_elements"]:
-        raise ConfigError(
-            f"{where}: inconsistent with n_elements "
-            f"({got['n_elements']} elements vs L1/spacing = {L1 / pitch:.3f})"
-        )
-    return derived
 
 
 def _name_list(noun: str, names: tuple):
@@ -171,16 +157,16 @@ def _parse_sweep_values(text: str, where: str, got: dict) -> tuple:
     return tuple(parse(v, where) for v in _parse_list(text))
 
 
-# One row of _FIELDS: a field's default, the [section] that sets it, its keys
-# as (key, parser) pairs and its range checks as (is_bad(config), tail).
-_Field = namedtuple("_Field", "default section keys checks")
+# One row of _FIELDS: a field's default, the one [section] key that sets it,
+# that key's parser and the field's range checks as (is_bad(config), tail).
+_Field = namedtuple("_Field", "default section key parse checks")
 
 
-def _key(default, section: str, key: str, parse, *checks, also: tuple = ()) -> _Field:
-    """A field set by [section] key and by each (key, parser) in `also`.  A parser
-    takes (text, "[section] key", the values parsed so far by attribute; only
-    spacing and sweep values read them); a check is (is_bad(config), tail)."""
-    return _Field(default, section, ((key, parse), *also), checks)
+def _key(default, section: str, key: str, parse, *checks) -> _Field:
+    """A field set by [section] key.  A parser takes (text, "[section] key",
+    the values parsed so far by attribute; only sweep values read them); a
+    check is (is_bad(config), tail)."""
+    return _Field(default, section, key, parse, checks)
 
 
 # The config table: ExperimentConfig's fields in parse order, each declared
@@ -203,8 +189,7 @@ _FIELDS = {
     "t": _key(0.0, "geometry", "t", _parse_length),
     "architecture": _key("both", "array", "architecture", _parse_architecture),
     "n_elements": _key(200, "array", "n_elements", _parse_int,
-                       (lambda c: c.n_elements < 1, "must be >= 1"),
-                       also=(("spacing", _parse_spacing),)),
+                       (lambda c: c.n_elements < 1, "must be >= 1")),
     "n_scene": _key(400, "discretization", "n_scene", _parse_int,
                     (lambda c: c.n_scene < 2, "must be >= 2")),
     "kspace_samples": _key(512, "discretization", "kspace_samples", _parse_int,
@@ -225,7 +210,7 @@ _FIELDS = {
     "res_methods": _key(("pinv", "mf"), "resolution", "methods",
                         _name_list("method", ("pinv", "mf"))),
     "kspace_point_u": _key(0.0, "kspace", "point_u", _parse_length),
-    "source": _Field("<defaults>", None, (), ()),
+    "source": _Field("<defaults>", None, None, None, ()),
 }
 
 
@@ -314,10 +299,9 @@ class ExperimentConfig(namedtuple("ExperimentConfig", _FIELDS,
 
 # Built once from _FIELDS: every accepted key as (section, key, attribute,
 # parser) in parse order, and validate()'s range checks as (is_bad,
-# "[section] key: tail"), each named after the first key of its field.
-_KEYS = tuple((f.section, key, name, parse)
-              for name, f in _FIELDS.items() for key, parse in f.keys)
-_CHECKS = tuple((is_bad, f"[{f.section}] {f.keys[0][0]}: {tail}")
+# "[section] key: tail"), each named after its field's key.
+_KEYS = tuple((f.section, f.key, name, f.parse) for name, f in _FIELDS.items() if f.key)
+_CHECKS = tuple((is_bad, f"[{f.section}] {f.key}: {tail}")
                 for f in _FIELDS.values() for is_bad, tail in f.checks)
 
 
@@ -599,7 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="experiment config file")
         p.add_argument("--out", default=None, help="output directory")
         if per_arch:
-            p.add_argument("--arch", default=None, choices=["mono", "multi", "both"],
+            p.add_argument("--arch", default=None, choices=list(_ARCH_TOKENS),
                            help="architecture override")
     return parser
 

@@ -10,9 +10,10 @@ Broadside segments keep the paper's G1 and G2 formulas.  The Fresnel-regime
 counts sit beside them: fresnel_dof, 2*L1*L2/(lambda*D), is the far-standoff
 limit of the G1 form, and sbp_g3_fresnel scales it by cos(theta).
 
-Everything here is a few scalar operations per tilt, in plain floats: the
-module imports neither numpy nor dataclasses (SbpResult is a namedtuple, as
-geometry's value types are), so sbp-sweep loads none of them.
+A tilted segment's SBP is one _sbp_of_tilt call, for sbp_numeric and for
+each tilt of theta_max's coarse grid: a few scalar operations in plain
+floats.  The module imports neither numpy nor dataclasses (SbpResult is a
+namedtuple, as geometry's value types are), so sbp-sweep loads none of them.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ def sbp_closed_form_g2(aperture_interval, scene_interval, D: float, lam: float) 
 
 def sbp_numeric(scene: SceneSegment, aperture: Aperture, wave: WaveContext) -> SbpResult:
     """SBP of any segment in front of the aperture plane, by the closed form
-    of the integral of B(u) that _sbp_of_tilts evaluates (one tilt).
+    of the integral of B(u) that _sbp_of_tilt evaluates.
 
     Returns
     -------
@@ -96,14 +97,14 @@ def sbp_numeric(scene: SceneSegment, aperture: Aperture, wave: WaveContext) -> S
         handed to sbp_closed_form_g1 or _g2, kept from when this integral was
         a quadrature so that dof.json's sbp_method strings stay as they were.
     """
-    value = _sbp_of_tilts([scene.theta], scene.shift, scene.half_length, aperture, wave)[0]
+    value = _sbp_of_tilt(scene.theta, scene.shift, scene.half_length, aperture, wave)
     return SbpResult(value=float(value), method="numeric-integral")
 
 
 def _kink(s, c, half_length: float):
     """u in (-half_length, half_length) of the kink of B(u), or None where B
-    has none; from the projections s = (s_1, s_2) and c = (c_1, c_2) of one
-    tilt in _sbp_of_tilts.
+    has none; from the projections s = (s_1, s_2) and c = (c_1, c_2) of the
+    tilt in _sbp_of_tilt.
 
     Only when c_1 and c_2 differ in sign does the line cross the aperture:
     every point's arc then holds the stationary direction, and B's other
@@ -119,10 +120,9 @@ def _kink(s, c, half_length: float):
     return None
 
 
-def _sbp_of_tilts(theta, t: float, half_length: float, aperture: Aperture,
-                  wave: WaveContext) -> list:
-    """SBP of SceneSegment(half_length, theta[i], t) for each tilt of the
-    sequence theta, in closed form; a list of floats, one per tilt.
+def _sbp_of_tilt(theta: float, t: float, half_length: float, aperture: Aperture,
+                 wave: WaveContext) -> float:
+    """SBP of SceneSegment(half_length, theta, t), in closed form.
 
     Let c_i be the signed distance of the aperture end A_i = (a_i, -D) from
     the line through (t, 0) along d = (cos, -sin), and s_i = ((t, 0) - A_i).d,
@@ -134,37 +134,32 @@ def _sbp_of_tilts(theta, t: float, half_length: float, aperture: Aperture,
     -sign(sin) d, and B = (2/lam)(1 + max_i sign(sin) g_i): the dominant end
     switches only at _kink, and on each piece its change of sign(sin) r_i is
     the larger, so SBP = (2/lam)(2 half_length + sum over the pieces of
-    max_i sign(sin) dr_i).  Each tilt is a few scalar operations in plain
-    floats, with math.cos and math.sin as SceneSegment.points takes them, so
-    every value equals sbp_numeric's bit for bit whatever the batch.
+    max_i sign(sin) dr_i).  A few scalar operations in plain floats, with
+    math.cos and math.sin as SceneSegment.points takes them.
     """
-    cos = [math.cos(th) for th in theta]
-    sin = [math.sin(th) for th in theta]
-    reach = half_length * max(abs(sn) for sn in sin)
+    cs, sn = math.cos(theta), math.sin(theta)
+    reach = half_length * abs(sn)
     if reach >= aperture.standoff:
         raise ValueError(f"scene segment reaches {reach} toward the aperture plane, "
                          f"at or beyond its standoff {aperture.standoff}")
     ends = (aperture.a1, aperture.a2)
-    values = []
-    for cs, sn in zip(cos, sin):
-        c = [(t - a) * sn + aperture.standoff * cs for a in ends]
-        s = [(t - a) * cs - aperture.standoff * sn for a in ends]
-        kink = _kink(s, c, half_length)
-        # the pieces [-h, kink] and [kink, h], or [-h, h] and [h, h] without one
-        u = (-half_length, half_length if kink is None else kink, half_length)
-        # r_i at the piece ends as abs(complex), which is the C library's
-        # hypot, as np.hypot is; math.hypot, Python's own, differs from it
-        # in the last bit for about 1% of arguments
-        r = [[abs(complex(si + uj, ci)) for uj in u] for si, ci in zip(s, c)]
-        dr = [[ri[1] - ri[0], ri[2] - ri[1]] for ri in r]  # [end][piece]
-        if c[0] * c[1] < 0.0:
-            sg = math.copysign(1.0, sn)
-            v = 2.0 * half_length + (max(sg * dr[0][0], sg * dr[1][0])
-                                     + max(sg * dr[0][1], sg * dr[1][1]))
-        else:
-            v = abs((dr[1][0] + dr[1][1]) - (dr[0][0] + dr[0][1]))
-        values.append((2.0 / wave.wavelength) * v)
-    return values
+    c = [(t - a) * sn + aperture.standoff * cs for a in ends]
+    s = [(t - a) * cs - aperture.standoff * sn for a in ends]
+    kink = _kink(s, c, half_length)
+    # the pieces [-h, kink] and [kink, h], or [-h, h] and [h, h] without one
+    u = (-half_length, half_length if kink is None else kink, half_length)
+    # r_i at the piece ends as abs(complex), which is the C library's hypot,
+    # as np.hypot is; math.hypot, Python's own, differs from it in the last
+    # bit for about 1% of arguments
+    r = [[abs(complex(si + uj, ci)) for uj in u] for si, ci in zip(s, c)]
+    dr = [[ri[1] - ri[0], ri[2] - ri[1]] for ri in r]  # [end][piece]
+    if c[0] * c[1] < 0.0:
+        sg = math.copysign(1.0, sn)
+        v = 2.0 * half_length + (max(sg * dr[0][0], sg * dr[1][0])
+                                 + max(sg * dr[0][1], sg * dr[1][1]))
+    else:
+        v = abs((dr[1][0] + dr[1][1]) - (dr[0][0] + dr[0][1]))
+    return (2.0 / wave.wavelength) * v
 
 
 def fresnel_dof(L1: float, L2: float, D: float, lam: float) -> float:
@@ -226,7 +221,7 @@ def theta_max(scene: SceneSegment, aperture: Aperture, wave: WaveContext) -> flo
     """Tilt angle maximizing the SBP of the scene: a segment of its
     half_length and shift, at any tilt (the scene's own tilt is not read).
 
-    Coarse 181-point grid over [-pi/2, pi/2], in one _sbp_of_tilts batch,
+    Coarse 181-point grid over [-pi/2, pi/2], one _sbp_of_tilt per tilt,
     followed by golden-section refinement of the best bracket down to
     _TILT_TOL radians, one sbp_numeric per step.  Ties prefer the
     smaller |theta|.  Grid tilts that bring an end of the segment onto or
@@ -245,7 +240,7 @@ def theta_max(scene: SceneSegment, aperture: Aperture, wave: WaveContext) -> flo
     grid = [i * step - 0.5 * math.pi for i in range(180)] + [0.5 * math.pi]
     # one end of the segment lies half_length * |sin theta| nearer the aperture than z = 0
     grid = [th for th in grid if scene.half_length * abs(math.sin(th)) < aperture.standoff]
-    values = _sbp_of_tilts(grid, t, scene.half_length, aperture, wave)
+    values = [_sbp_of_tilt(th, t, scene.half_length, aperture, wave) for th in grid]
     # deterministic tie-break: smallest |theta| among near-equal maxima
     floor = max(values) * (1.0 - 1e-12)
     best = min((i for i, v in enumerate(values) if v >= floor), key=lambda i: abs(grid[i]))

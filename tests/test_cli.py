@@ -40,7 +40,6 @@ CONFIG_KEYS = [
     ("geometry", "t", "0.02", "t", 0.02),
     ("array", "architecture", "multi", "architecture", "multi"),
     ("array", "n_elements", "50", "n_elements", 50),
-    ("array", "spacing", "0.0015", "n_elements", 100),
     ("discretization", "n_scene", "64", "n_scene", 64),
     ("discretization", "kspace_samples", "32", "kspace_samples", 32),
     ("run", "out_dir", "results/x", "out_dir", "results/x"),
@@ -113,12 +112,11 @@ def test_unit_parsing(tmp_path):
     assert cfg.t == pytest.approx(0.15)
 
 
-def test_radian_angles_and_spacing(tmp_path):
+def test_radian_angles(tmp_path):
     path = tmp_path / "more.cfg"
-    path.write_text("[geometry]\ntheta = 0.5rad\n[array]\nspacing = 0.75mm\n")
+    path.write_text("[geometry]\ntheta = 0.5rad\n")
     cfg = ExperimentConfig.from_file(path)
     assert cfg.theta == 0.5
-    assert cfg.n_elements == 200  # 0.15 / 0.00075
 
 
 @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.name)
@@ -130,7 +128,7 @@ def test_every_shipped_config_loads(path):
 def test_accepted_keys_are_the_listed_ones():
     # a dropped or renamed key fails here, not only in the configs that use it
     listed = [(section, key) for section, key, *_ in CONFIG_KEYS]
-    assert len(set(listed)) == len(listed) == 23
+    assert len(set(listed)) == len(listed) == 22
     assert {(section, key) for section, key, _, _ in cli._KEYS} == set(listed)
 
 
@@ -167,7 +165,7 @@ def test_readme_config_example_names_every_key():
         ("[geometry]\nL1 = 1parsec\n", "unit"),
         ("[geometry]\ntheta = 95deg\n", "theta"),
         ("[array]\narchitecture = simo\n", "architecture"),
-        ("[array]\nn_elements = 10\nspacing = 1cm\n", "spacing"),
+        ("[array]\nn_elements = 10\nspacing = 1cm\n", re.escape("[array] spacing: unknown key")),
         ("[run]\nanalyses = svd, psf\n", "psf"),
         ("[run]\nsvg = maybe\n", "svg"),
         ("[sweep]\nvalues = 1cm\n", "param"),
@@ -185,7 +183,16 @@ def test_readme_config_example_names_every_key():
         ("[array]\nn_elements = 0\n", re.escape("[array] n_elements: must be >= 1")),
         ("[array]\nn_elements = 2.5\n",
          re.escape("[array] n_elements: expected integer, got '2.5'")),
-        ("[array]\nspacing = 0mm\n", re.escape("[array] spacing: must be positive")),
+        # the long spellings of architecture are refused, with the tokens to write instead
+        ("[array]\narchitecture = monostatic\n",
+         re.escape("[array] architecture: unknown value 'monostatic', "
+                   "expected mono, multi or both")),
+        ("[array]\narchitecture = multistatic\n",
+         re.escape("[array] architecture: unknown value 'multistatic', "
+                   "expected mono, multi or both")),
+        # and, as by --arch, so is another case
+        ("[array]\narchitecture = Both\n",
+         re.escape("[array] architecture: unknown value 'Both', expected mono, multi or both")),
         ("[discretization]\nn_scene = 1\n",
          re.escape("[discretization] n_scene: must be >= 2")),
         ("[discretization]\nkspace_samples = 1\n",
@@ -261,6 +268,26 @@ def test_config_error_exits_2(tmp_path, capsys):
     path.write_text("[geometry]\nL2 = 0\n")
     assert main(["svd", "--config", str(path)]) == 2
     assert "L2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("body,message", [
+    ("[array]\nspacing = 1mm\n", "[array] spacing: unknown key"),
+    ("[array]\narchitecture = monostatic\n",
+     "[array] architecture: unknown value 'monostatic', expected mono, multi or both"),
+])
+def test_removed_spellings_exit_2_without_writing(tmp_path, capsys, body, message):
+    path = tmp_path / "old.cfg"
+    path.write_text(body)
+    assert main(["svd", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_arch_flag_takes_the_config_tokens(capsys):
+    # --arch and [array] architecture accept the same tokens
+    with pytest.raises(SystemExit):
+        main(["svd", "--help"])
+    assert "--arch {mono,multi,both}" in capsys.readouterr().out
 
 
 def test_config_that_does_not_decode_exits_2(tmp_path, capsys):

@@ -160,7 +160,7 @@ def test_bandwidth_of_a_point_set_equals_per_point_calls(aperture, wave, scene):
 
 
 def test_bandwidth_broadcasts_the_line_angle_against_the_points(aperture, wave):
-    # one row of points and one angle per scene, as the SBP batch passes them
+    # a stack of scenes, one row of points and one angle per scene
     scenes = [SceneSegment(0.05, theta, 0.03) for theta in (-0.6, 0.0, 0.9)]
     u = np.linspace(-0.05, 0.05, 7)
     angles = np.array([[scene_projection_angle(s)] for s in scenes])

@@ -117,8 +117,8 @@ def test_numeric_on_theta_max_grids(h):
     grid = np.linspace(-0.5 * math.pi, 0.5 * math.pi, 181)
     grid = grid[h * np.abs(np.sin(grid)) < D]
     for t in (0.0, 0.05, 0.1, 0.15, 0.2, 0.21):
-        got = sbp._sbp_of_tilts(grid, t, h, ap, wave)
-        for theta, value in zip(grid, got):
+        for theta in grid:
+            value = sbp._sbp_of_tilt(theta, t, h, ap, wave)
             reference = bandwidth_integral.integral(SceneSegment(h, theta, t), ap, wave)
             assert _within_rounding(value, reference), (t, theta)
 
@@ -264,34 +264,30 @@ def test_theta_max_coarse_grid_matches_per_tilt_integrals(monkeypatch, t, h):
     ap = Aperture.centered(L1, D)
     wave = WaveContext(LAM)
     calls = []
-    batched = sbp._sbp_of_tilts
+    per_tilt = sbp._sbp_of_tilt
 
     def recording(theta, *args):
-        values = batched(theta, *args)
-        calls.append((theta, values))
-        return values
+        value = per_tilt(theta, *args)
+        calls.append((theta, value))
+        return value
 
-    monkeypatch.setattr(sbp, "_sbp_of_tilts", recording)
+    monkeypatch.setattr(sbp, "_sbp_of_tilt", recording)
     theta_max(SceneSegment(h, shift=t), ap, wave)
-    # the coarse grid in one batch, then one single-tilt call per golden-section step
-    chunks = [(th, v) for th, v in calls if len(th) > 1]
-    assert [len(th) for th, _ in chunks] == [181]
-    grid = np.concatenate([th for th, _ in chunks])
-    np.testing.assert_array_equal(grid, np.linspace(-0.5 * math.pi, 0.5 * math.pi, 181))
-    got = np.concatenate([v for _, v in chunks])
-    for theta, value in zip(grid, got):
+    # one call per coarse-grid tilt, in the grid's order, then one per
+    # golden-section step (through sbp_numeric)
+    grid = np.linspace(-0.5 * math.pi, 0.5 * math.pi, 181)
+    assert len(calls) > grid.size
+    np.testing.assert_array_equal([th for th, _ in calls[:grid.size]], grid)
+    for theta, value in calls[:grid.size]:
         reference = bandwidth_integral.integral(SceneSegment(h, theta, t), ap, wave)
         assert _within_rounding(value, reference), theta
-    # a batch of any size gives the same values as sbp_numeric tilt by tilt
-    some = grid[3:40]
-    np.testing.assert_array_equal(
-        batched(some, t, h, ap, wave),
-        [sbp_numeric(SceneSegment(h, th, t), ap, wave).value for th in some])
+        assert value == sbp_numeric(SceneSegment(h, theta, t), ap, wave).value, theta
 
 
 def test_theta_max_coarse_grid_memory_is_bounded():
-    # the coarse grid's one batch holds a few arrays of 181 tilts x 3 points,
-    # so its temporaries stay well under a megabyte
+    # the coarse grid keeps one list of 181 tilts and one of their SBP
+    # values, and each tilt's temporaries are a few floats, so the search
+    # stays well under a megabyte
     ap = Aperture.centered(L1, D)
     wave = WaveContext(LAM)
     tracemalloc.start()

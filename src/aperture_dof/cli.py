@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import gc
 import math
 import os
 import random
@@ -589,9 +588,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list | None = None) -> int:
-    # nothing that exists before the command runs is garbage: keep the import
-    # heap out of every later collection, the ones at interpreter exit too
-    gc.freeze()
     args = build_parser().parse_args(argv)
     try:
         if args.out == "":

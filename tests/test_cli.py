@@ -23,7 +23,7 @@ from aperture_dof import (
 from aperture_dof import cli
 from aperture_dof.cli import ConfigError, ExperimentConfig, _csv, main
 
-from conftest import fresh_python
+from conftest import cli_usage, fresh_python
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -270,15 +270,20 @@ def test_config_error_exits_2(tmp_path, capsys):
     assert "L2" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("body,message", [
-    ("[array]\nspacing = 1mm\n", "[array] spacing: unknown key"),
-    ("[array]\narchitecture = monostatic\n",
+@pytest.mark.parametrize("command, body, message", [
+    ("svd", "[array]\nspacing = 1mm\n", "[array] spacing: unknown key"),
+    ("svd", "[array]\narchitecture = monostatic\n",
      "[array] architecture: unknown value 'monostatic', expected mono, multi or both"),
-])
-def test_removed_spellings_exit_2_without_writing(tmp_path, capsys, body, message):
-    path = tmp_path / "old.cfg"
+    ("svd", "[geometry]\nL3 = 1cm\n", "[geometry] L3: unknown key"),
+    # Path("") would be the current directory
+    ("kspace", "[run]\nout_dir =\n", "[run] out_dir: must not be empty"),
+    ("resolution", (CONFIGS / "shifted_scene.cfg").read_text(),
+     "[run] analyses: 'resolution' not enabled in this config"),
+], ids=["spacing", "monostatic", "unknown-key", "empty-out-dir", "analyses"])
+def test_refusals_exit_2_without_writing(tmp_path, capsys, command, body, message):
+    path = tmp_path / "refused.cfg"
     path.write_text(body)
-    assert main(["svd", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not (tmp_path / "out").exists()
 
@@ -875,6 +880,24 @@ def test_multistatic_commands_never_materialize_the_operator(tmp_path, monkeypat
     assert main(["fresnel", "--config", str(cfg)]) == 0
 
 
+@pytest.mark.parametrize("command, ceiling_mib", [("svd", 58), ("resolution", 64), ("fresnel", 80)])
+def test_n1000_multistatic_commands_stay_under_their_memory_ceilings(command, ceiling_mib,
+                                                                       tmp_path):
+    # the operator holds its one-way factors, never the N^2 x n product: at
+    # N = 1000 the dense operator would need 6.1 GiB. At 2 threads svd peaks
+    # at about 46 MiB, resolution, which streams its cross-Gram over blocks
+    # of 128 points, keeps only the leading singular triplets and checks 1/B
+    # one target at a time, at about 50, and fresnel, which convolves the
+    # lattice Tx and Rx trains into the effective aperture and splits its
+    # 1999-row mirror-symmetric effective side in two, at about 64. Each
+    # ceiling is about 1.25x its peak; m x n cross-Gram temporaries over all
+    # 1600 image points at once take resolution to about 104
+    code, _, _, peak_mib, err = cli_usage(command, "--config", CONFIGS / "multi_n1000.cfg",
+                                          "--out", tmp_path, threads=2)
+    assert code == 0, err
+    assert peak_mib <= ceiling_mib
+
+
 def test_svd_command_computes_no_singular_vectors(tmp_path, monkeypatch):
     import aperture_dof.operator as operator
 
@@ -982,20 +1005,7 @@ def test_module_entry_runs_clean_under_w_error(tmp_path):
     assert (proc.returncode, proc.stderr) == (0, "")
 
 
-def test_fresh_process_freezes_the_start_up_heap_and_exits_by_outcome(tmp_path):
-    # the import heap (about 13 800 objects for sbp-sweep, which loads no
-    # numpy) leaves the collections at interpreter exit only if main() froze it
-    code = (
-        "import gc, sys\n"
-        "from aperture_dof.cli import main\n"
-        "assert main(sys.argv[1:]) == 0\n"
-        "print(gc.get_freeze_count())\n"
-    )
-    proc = fresh_python("-c", code, "sbp-sweep", "--config", CONFIGS / "tilt_sweep.cfg",
-                         "--out", tmp_path / "lib")
-    assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout.splitlines()[-1]) >= 10_000
-
+def test_fresh_process_exits_by_outcome(tmp_path):
     def run(command, config, out):
         return fresh_python("-m", "aperture_dof.cli", command, "--config", config, "--out", out)
 
@@ -1035,6 +1045,14 @@ def test_process_entry_flushes_stdout_before_it_exits(tmp_path):
         os.close(write_end)
     assert proc.returncode == 120
     assert proc.stderr.endswith("BrokenPipeError: [Errno 32] Broken pipe\n")
+
+
+def test_console_script_is_the_process_entry():
+    # the installed aperture-dof script, which no test can run, goes through
+    # the same run() as python -m aperture_dof.cli
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert project["scripts"]["aperture-dof"] == "aperture_dof.cli:run"
 
 
 @pytest.mark.parametrize("command", list(cli._COMMANDS))

@@ -14,8 +14,8 @@ Config errors exit 2 and name the offending key.
 numpy is imported where arrays are built: in cmd_svd, cmd_kspace and
 cmd_resolution, and in the layers they and cmd_fresnel call; json where
 svd and fresnel write it.  Importing this module, reading a config and
-running sbp-sweep load none of numpy, json or dataclasses: the config and
-the geometry and SBP values it builds are namedtuples.
+running sbp-sweep load neither numpy nor json, and no command loads
+dataclasses: the config and every value type are namedtuples.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from collections import namedtuple
 from pathlib import Path
 
 from . import _svg, fresnel, kspace, operator, recon, sbp
-from .geometry import MONOSTATIC, MULTISTATIC, Aperture, SceneSegment, WaveContext
+from .geometry import MONOSTATIC, MULTISTATIC, TWO_PI, Aperture, SceneSegment, WaveContext
 
 
 class ConfigError(Exception):
@@ -173,7 +173,9 @@ def _key(default, section: str, key: str, parse, *checks) -> _Field:
 # no key sets.
 _FIELDS = {
     "wavelength": _key(0.005, "geometry", "lambda", _parse_length,
-                       (lambda c: c.wavelength <= 0.0, "must be positive")),
+                       (lambda c: c.wavelength <= 0.0, "must be positive"),
+                       (lambda c: not math.isfinite(TWO_PI / c.wavelength),
+                        "too small, the wavenumber 2*pi/lambda overflows")),
     "L1": _key(0.15, "geometry", "L1", _parse_length,
                (lambda c: c.L1 <= 0.0, "must be positive")),
     "L2": _key(0.10, "geometry", "L2", _parse_length,
@@ -218,8 +220,8 @@ class ExperimentConfig(namedtuple("ExperimentConfig", _FIELDS,
     """Fully resolved experiment parameters (SI units, radians); fields in
     parse order, as _FIELDS declares them.
 
-    A namedtuple, as geometry's value types are, so reading a config loads
-    no dataclasses: immutable, hashable, keyword-constructible, and a copy
+    A namedtuple, as every value type of the package is, so no command
+    loads dataclasses: immutable, hashable, keyword-constructible, and a copy
     with fields changed is _replace(**changes).  Its equality is a tuple's;
     every comparison is between two configs."""
 

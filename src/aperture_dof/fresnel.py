@@ -11,26 +11,21 @@ with the other SBP formulas, so that no SBP caller needs this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import SceneSegment, WaveContext
+from .geometry import SceneSegment, WaveContext, _value_type
 from .operator import ArrayLayout, _one_way_phases, _spectrum, _tx_rx_factors
 
 
-@dataclass(frozen=True)
-class ApertureFunction:
+class ApertureFunction(_value_type("ApertureFunction", "positions multiplicities")):
     """Delta-train aperture function: sorted positions with multiplicities."""
 
-    positions: np.ndarray
-    multiplicities: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        pos = np.atleast_1d(np.asarray(self.positions, dtype=float))
-        mult = np.atleast_1d(np.asarray(self.multiplicities, dtype=int))
-        object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "multiplicities", mult)
+    def __new__(cls, positions, multiplicities):
+        pos = np.atleast_1d(np.asarray(positions, dtype=float))
+        mult = np.atleast_1d(np.asarray(multiplicities, dtype=int))
         if pos.size == 0:
             raise ValueError("aperture function must have at least one element")
         if pos.size != mult.size:
@@ -41,6 +36,7 @@ class ApertureFunction:
             raise ValueError("positions must be strictly increasing")
         if np.any(mult < 1):
             raise ValueError("multiplicities must be >= 1")
+        return super().__new__(cls, pos, mult)
 
     @classmethod
     def from_positions(cls, positions, merge_tol: float = 1e-9) -> "ApertureFunction":
@@ -176,17 +172,14 @@ def _lattice_indices(tx: np.ndarray, rx: np.ndarray, tol: float) -> list | None:
     return indices
 
 
-@dataclass(frozen=True)
-class FresnelEquivalenceReport:
+class FresnelEquivalenceReport(_value_type(
+        "FresnelEquivalenceReport", "effective sigma_effective sigma_pair max_rel_discrepancy")):
     """Singular-value comparison of a multistatic array vs its effective
     monostatic replacement `effective` (Fresnel-propagated on that side),
     under each pair kernel: sigma_pair and max_rel_discrepancy are keyed
     'fresnel' and 'exact'."""
 
-    effective: ApertureFunction
-    sigma_effective: np.ndarray
-    sigma_pair: dict
-    max_rel_discrepancy: dict
+    __slots__ = ()
 
 
 def fresnel_equivalence_check(

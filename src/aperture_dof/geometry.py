@@ -13,14 +13,20 @@ take or return arrays (SceneSegment.midpoints and points, viewing_angles and
 element_view_angle) import numpy when they run, so a command that builds no
 array never loads it; their np.ndarray annotations are never evaluated.
 
-The value types here and sbp.SbpResult are namedtuple subclasses, not
-dataclasses: collections is loaded at start-up anyway, while dataclasses
-brings in inspect, ast, dis and tokenize and runs an exec per class, about
-10 ms of every process that imports no numpy (sbp-sweep, a config read).
-They are immutable and hashable, take their fields by keyword and print as
-the dataclasses did.  Their equality is a tuple's, so compare values of one
-type only: Aperture(0.0, 1.0, 2.0) == SceneSegment(0.0, 1.0, 2.0) == (0.0, 1.0, 2.0),
-and no caller relies on values of different types comparing unequal.
+Every value type of the package, the ones here, sbp.SbpResult and those of
+operator, fresnel and recon, is a namedtuple subclass built on _value_type,
+not a dataclass: collections is loaded at start-up anyway, while
+dataclasses brings in inspect, ast, dis and tokenize and runs an exec per
+class, about 10 ms of a process that imports no numpy (sbp-sweep, a config
+read) and 3 to 5 ms of one that does.  Each checks and converts its fields
+in __new__, so a copy made with _replace is checked too.  They are
+immutable, take their fields by keyword and print as the dataclasses did.
+The float-valued ones here are hashable; their equality is a tuple's, so
+compare values of one type only: Aperture(0.0, 1.0, 2.0) ==
+SceneSegment(0.0, 1.0, 2.0) == (0.0, 1.0, 2.0), and no caller relies on
+values of different types comparing unequal.  Hashing a value that holds
+arrays (an ArrayLayout, a DiscreteOperator, a spectrum) raises, and so does
+comparing two such values built apart.
 """
 
 from __future__ import annotations
@@ -58,6 +64,8 @@ class WaveContext(_value_type("WaveContext", "wavelength")):
     def __new__(cls, wavelength: float):
         if not (wavelength > 0.0):
             raise ValueError(f"wavelength must be positive, got {wavelength}")
+        if not math.isfinite(TWO_PI / wavelength):
+            raise ValueError(f"wavelength {wavelength} is too small: 2*pi/wavelength overflows")
         return super().__new__(cls, wavelength)
 
     @property

@@ -40,11 +40,10 @@ fill with the same values up to rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import MONOSTATIC, MULTISTATIC, Aperture, SceneSegment, WaveContext
+from .geometry import MONOSTATIC, MULTISTATIC, Aperture, SceneSegment, WaveContext, _value_type
 
 # image points per cross-Gram block in adjoint_to_points: large enough for
 # efficient matrix products, small enough that at N = 1000, n_scene = 400 a
@@ -67,8 +66,8 @@ _MIRROR_TOL = 1e-12
 _MIRROR_ROWS = 64
 
 
-@dataclass(frozen=True)
-class ArrayLayout:
+class ArrayLayout(_value_type("ArrayLayout", "architecture tx_positions rx_positions "
+                                              "aperture tx_weight rx_weight")):
     """Element positions of a mono- or multistatic array on an aperture.
 
     Attributes
@@ -84,36 +83,31 @@ class ArrayLayout:
         one element).  Uniform layouts use length / n.
     """
 
-    architecture: str
-    tx_positions: np.ndarray
-    rx_positions: np.ndarray
-    aperture: Aperture
-    tx_weight: float
-    rx_weight: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.architecture not in (MONOSTATIC, MULTISTATIC):
-            raise ValueError(f"unknown architecture {self.architecture!r}")
-        tx = np.atleast_1d(np.asarray(self.tx_positions, dtype=float))
-        rx = np.atleast_1d(np.asarray(self.rx_positions, dtype=float))
-        object.__setattr__(self, "tx_positions", tx)
-        object.__setattr__(self, "rx_positions", rx)
+    def __new__(cls, architecture: str, tx_positions, rx_positions, aperture: Aperture,
+                tx_weight: float, rx_weight: float):
+        if architecture not in (MONOSTATIC, MULTISTATIC):
+            raise ValueError(f"unknown architecture {architecture!r}")
+        tx = np.atleast_1d(np.asarray(tx_positions, dtype=float))
+        rx = np.atleast_1d(np.asarray(rx_positions, dtype=float))
         if tx.size == 0 or rx.size == 0:
             raise ValueError("array must have at least one element")
         # NaN would pass every range check below
         for name, value in (("tx_positions", tx), ("rx_positions", rx),
-                            ("tx_weight", self.tx_weight), ("rx_weight", self.rx_weight)):
+                            ("tx_weight", tx_weight), ("rx_weight", rx_weight)):
             bad = np.asarray(value)[~np.isfinite(value)]
             if bad.size:
                 raise ValueError(f"{name} must be finite, got {bad.flat[0]}")
-        lo, hi = self.aperture.a1, self.aperture.a2
+        lo, hi = aperture.a1, aperture.a2
         for name, pos in (("tx", tx), ("rx", rx)):
             if pos.min() < lo - 1e-12 or pos.max() > hi + 1e-12:
                 raise ValueError(f"{name} positions fall outside the aperture [{lo}, {hi}]")
-        if self.architecture == MONOSTATIC and not np.array_equal(tx, rx):
+        if architecture == MONOSTATIC and not np.array_equal(tx, rx):
             raise ValueError("monostatic layout requires identical tx and rx positions")
-        if self.tx_weight <= 0.0 or self.rx_weight <= 0.0:
+        if tx_weight <= 0.0 or rx_weight <= 0.0:
             raise ValueError("element quadrature weights must be positive")
+        return super().__new__(cls, architecture, tx, rx, aperture, tx_weight, rx_weight)
 
     @classmethod
     def uniform(cls, aperture: Aperture, n: int, architecture: str) -> "ArrayLayout":
@@ -129,8 +123,8 @@ class ArrayLayout:
         return cls(architecture, pos, pos.copy(), aperture, pitch, pitch)
 
 
-@dataclass(eq=False)
-class DiscreteOperator:
+class DiscreteOperator(_value_type("DiscreteOperator",
+                                   "factors row_weight col_weight scene_u array scene wave")):
     """Weighted forward operator, held as its one-way phase factors, plus
     the grids and weights that produced it.
 
@@ -147,13 +141,7 @@ class DiscreteOperator:
     the N^2 x n product is never stored.
     """
 
-    factors: tuple
-    row_weight: float
-    col_weight: float
-    scene_u: np.ndarray
-    array: ArrayLayout
-    scene: SceneSegment
-    wave: WaveContext
+    __slots__ = ()
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -327,8 +315,7 @@ def _factored_gram(tx_factor: np.ndarray, rx_factor: np.ndarray, col_weight: flo
     return gram
 
 
-@dataclass(frozen=True)
-class SvdSpectrum:
+class SvdSpectrum(_value_type("SvdSpectrum", "singular_values right_vectors hs_norm_sq")):
     """Singular values (non-increasing) and right singular vectors.
 
     right_vectors holds the scene-side vectors in weighted coordinates as
@@ -338,16 +325,13 @@ class SvdSpectrum:
     Rayleigh-Ritz floor.  hs_norm_sq is in both the squared Frobenius norm of
     the whole weighted matrix, against which the sum rule sum(sigma^2) is
     validated; a leading spectrum's tail below the floor is far inside the
-    rule's tolerance.
+    rule's tolerance.  right_vectors is None when they were not computed.
     """
 
-    singular_values: np.ndarray
-    right_vectors: np.ndarray | None
-    hs_norm_sq: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        s = np.asarray(self.singular_values, dtype=float)
-        object.__setattr__(self, "singular_values", s)
+    def __new__(cls, singular_values, right_vectors, hs_norm_sq: float):
+        s = np.asarray(singular_values, dtype=float)
         if s.size == 0:
             raise ValueError("empty spectrum")
         slack = 1e-12 * max(s[0], 1.0)
@@ -355,10 +339,11 @@ class SvdSpectrum:
             raise ValueError("singular values must be non-increasing")
         if s[-1] < -slack:
             raise ValueError("singular values must be non-negative")
-        if self.hs_norm_sq > 0.0:
-            rel = abs(float(np.sum(s * s)) - self.hs_norm_sq) / self.hs_norm_sq
+        if hs_norm_sq > 0.0:
+            rel = abs(float(np.sum(s * s)) - hs_norm_sq) / hs_norm_sq
             if rel > 1e-10:
                 raise ValueError(f"sum rule violated: relative error {rel:.3e}")
+        return super().__new__(cls, s, right_vectors, hs_norm_sq)
 
 
 def svd(op: DiscreteOperator, vectors: bool = True, *, leading: bool = False) -> SvdSpectrum:

@@ -20,11 +20,10 @@ against the reciprocal bandwidth 1/B.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import SceneSegment, WaveContext
+from .geometry import SceneSegment, WaveContext, _value_type
 from .kspace import bandwidth, require_positive, scene_projection_angle
 from .operator import (
     ArrayLayout,
@@ -43,30 +42,26 @@ class UnresolvableProfileError(ValueError):
     """Mainlobe clipped by the profile boundary; no 3dB width exists."""
 
 
-@dataclass(frozen=True)
-class ImageProfile:
-    """Complex reconstruction sampled along the scene coordinate u''."""
+class ImageProfile(_value_type("ImageProfile", "coords values method rank")):
+    """Complex reconstruction sampled along the scene coordinate u''; rank
+    is the PINV truncation, None for an MF image."""
 
-    coords: np.ndarray
-    values: np.ndarray
-    method: str
-    rank: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        coords = np.asarray(self.coords, dtype=float)
-        values = np.asarray(self.values)
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "values", values)
-        if self.method not in ("pinv", "mf"):
-            raise ValueError(f"unknown method tag {self.method!r}")
+    def __new__(cls, coords, values, method: str, rank: int | None = None):
+        coords = np.asarray(coords, dtype=float)
+        values = np.asarray(values)
+        if method not in ("pinv", "mf"):
+            raise ValueError(f"unknown method tag {method!r}")
         if coords.size != values.size:
             raise ValueError("coordinate and value lists must have equal length")
         if coords.size and np.any(np.diff(coords) <= 0.0):
             raise ValueError("coordinates must be strictly increasing")
+        return super().__new__(cls, coords, values, method, rank)
 
 
-@dataclass(frozen=True)
-class ResolutionCurve:
+class ResolutionCurve(_value_type("ResolutionCurve", "positions widths reciprocal_bandwidth "
+                                                     "grid_spacing profiles profile_coords")):
     """3dB beamwidths per scatterer and method, with the 1/B benchmark.
 
     widths[method][i] is NaN where the mainlobe is clipped at the scene
@@ -74,28 +69,26 @@ class ResolutionCurve:
     complex PSFs, (profile_coords.size, positions.size).
     """
 
-    positions: np.ndarray
-    widths: dict
-    reciprocal_bandwidth: np.ndarray
-    grid_spacing: float
-    profiles: dict
-    profile_coords: np.ndarray
+    __slots__ = ()
 
     @property
     def flagged(self) -> dict:
         """{method: bool array}, True where the width is NaN."""
         return {m: np.isnan(w) for m, w in self.widths.items()}
 
-    def __post_init__(self):
-        for method, w in self.widths.items():
+    def __new__(cls, positions, widths: dict, reciprocal_bandwidth, grid_spacing: float,
+                profiles: dict, profile_coords):
+        for method, w in widths.items():
             valid = w[~np.isnan(w)]
             if np.any(valid <= 0.0):
                 raise ValueError(f"non-positive width in method {method!r}")
-            if np.any(valid < self.grid_spacing * (1.0 - 1e-9)):
+            if np.any(valid < grid_spacing * (1.0 - 1e-9)):
                 raise ValueError(
                     f"width below grid spacing in method {method!r}: resolution "
                     "claims below the sampling limit are not meaningful"
                 )
+        return super().__new__(cls, positions, widths, reciprocal_bandwidth, grid_spacing,
+                               profiles, profile_coords)
 
 
 def _back_projection(op: DiscreteOperator, data: np.ndarray) -> np.ndarray:

@@ -8,10 +8,16 @@ from aperture_dof import (
     MONOSTATIC,
     MULTISTATIC,
     Aperture,
+    ApertureFunction,
     ArrayLayout,
+    FresnelEquivalenceReport,
+    ImageProfile,
+    ResolutionCurve,
     SbpResult,
     SceneSegment,
+    SvdSpectrum,
     WaveContext,
+    build_operator,
     viewing_angles,
 )
 from aperture_dof.geometry import element_view_angle
@@ -21,7 +27,8 @@ def test_wave_context_wavenumber():
     assert WaveContext(0.005).k == pytest.approx(2.0 * math.pi / 0.005, rel=1e-15)
 
 
-@pytest.mark.parametrize("lam", [0.0, -1e-3])
+# 1e-310 is positive, but its wavenumber 2*pi/lambda overflows to inf
+@pytest.mark.parametrize("lam", [0.0, -1e-3, 1e-310])
 def test_wave_context_rejects_nonpositive_wavelength(lam):
     with pytest.raises(ValueError):
         WaveContext(lam)
@@ -104,6 +111,44 @@ def test_value_types_are_immutable_hashable_and_print_as_before(value, fields, t
     # _replace builds through the class, so its checks still run
     with pytest.raises(ValueError):
         value._replace(**bad)
+
+
+def _operator():
+    layout = ArrayLayout.uniform(Aperture.centered(0.15, 0.2), 4, MULTISTATIC)
+    return build_operator(SceneSegment(0.05), layout, WaveContext(0.005), 8)
+
+
+@pytest.mark.parametrize("build, bad", [
+    (lambda: ArrayLayout.uniform(Aperture.centered(0.15, 0.2), 4, MULTISTATIC),
+     {"tx_positions": [0.0, 0.1]}),  # outside the aperture
+    (_operator, None),
+    (lambda: SvdSpectrum(np.array([2.0, 1.0]), None, 5.0),
+     {"singular_values": np.array([1.0, 2.0])}),  # increasing
+    (lambda: ApertureFunction.from_positions([0.0, 0.01]),
+     {"positions": [0.01, 0.0]}),  # not increasing
+    (lambda: FresnelEquivalenceReport(ApertureFunction.from_positions([0.0, 0.01]),
+                                      np.ones(2), {}, {}), None),
+    (lambda: ImageProfile([0.0, 1.0], [1.0, 1.0], "mf"), {"method": "tsvd"}),
+    (lambda: ResolutionCurve(np.zeros(2), {"mf": np.array([0.02, 0.03])}, np.ones(2), 1e-3,
+                             {}, np.zeros(2)), {"grid_spacing": 0.1}),  # widths below it
+], ids=["layout", "operator", "spectrum", "aperture-function", "fresnel-report",
+        "image-profile", "resolution-curve"])
+def test_array_values_are_immutable_and_checked_on_replace(build, bad):
+    # no field can be set, and _replace goes through __new__, so a copy is
+    # checked as a new value is
+    value = build()
+    for name in (*value._fields, "other"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 1.0)
+    if bad is not None:
+        with pytest.raises(ValueError):
+            value._replace(**bad)
+    # hashing and equality reach the array fields, which have no hash and
+    # no single truth value
+    with pytest.raises(TypeError):
+        hash(value)
+    with pytest.raises(ValueError):
+        value == build()
 
 
 NAN, INF = float("nan"), float("inf")

@@ -83,12 +83,10 @@ def _parse_int(text: str, where: str, *_) -> int:
 
 
 def _parse_bool(text: str, where: str, *_) -> bool:
-    t = text.strip().lower()
-    if t in ("1", "true", "yes", "on"):
-        return True
-    if t in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"{where}: expected boolean, got {text!r}")
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
+    except KeyError:
+        raise ConfigError(f"{where}: expected boolean, got {text!r}") from None
 
 
 def _parse_list(text: str, *_) -> tuple:
@@ -114,16 +112,17 @@ _COMMANDS = {
     "resolution": ("PSF beamwidths against the 1/B benchmark", True),
 }
 
-_SWEEP_PARAMS = ("t", "D", "L2", "theta")
 
-
-def _parse_architecture(text: str, where: str, *_) -> str:
-    token = text.strip()
-    if token not in _ARCH_TOKENS:
-        *head, last = _ARCH_TOKENS
-        raise ConfigError(f"{where}: unknown value {text!r}, "
-                          f"expected {', '.join(head)} or {last}")
-    return token
+def _one_of(names):
+    """Parser of one token, one of `names`."""
+    def parse(text: str, where: str, *_) -> str:
+        token = text.strip()
+        if token not in names:
+            *head, last = names
+            raise ConfigError(f"{where}: unknown value {text!r}, "
+                              f"expected {', '.join(head)} or {last}")
+        return token
+    return parse
 
 
 def _name_list(noun: str, names: tuple):
@@ -139,13 +138,6 @@ def _name_list(noun: str, names: tuple):
                 raise ConfigError(f"{where}: {noun} {item!r} given twice")
         return items
     return parse
-
-
-def _parse_sweep_param(text: str, where: str, *_) -> str:
-    param = text.strip()
-    if param not in _SWEEP_PARAMS:
-        raise ConfigError(f"{where}: must be one of {', '.join(_SWEEP_PARAMS)}")
-    return param
 
 
 def _parse_sweep_values(text: str, where: str, got: dict) -> tuple:
@@ -175,7 +167,9 @@ _FIELDS = {
     "wavelength": _key(0.005, "geometry", "lambda", _parse_length,
                        (lambda c: c.wavelength <= 0.0, "must be positive"),
                        (lambda c: not math.isfinite(TWO_PI / c.wavelength),
-                        "too small, the wavenumber 2*pi/lambda overflows")),
+                        "too small, the wavenumber 2*pi/lambda overflows"),
+                       (lambda c: TWO_PI * c.D / c.wavelength > 1e12,
+                        "too small for the standoff, 2*pi*D/lambda exceeds 1e12")),
     "L1": _key(0.15, "geometry", "L1", _parse_length,
                (lambda c: c.L1 <= 0.0, "must be positive")),
     "L2": _key(0.10, "geometry", "L2", _parse_length,
@@ -188,7 +182,7 @@ _FIELDS = {
         (lambda c: c.L2 / 2.0 * abs(math.sin(c.theta)) >= c.D,
          "the tilted scene reaches the aperture plane, (L2/2)|sin theta| must be < D")),
     "t": _key(0.0, "geometry", "t", _parse_length),
-    "architecture": _key("both", "array", "architecture", _parse_architecture),
+    "architecture": _key("both", "array", "architecture", _one_of(_ARCH_TOKENS)),
     "n_elements": _key(200, "array", "n_elements", _parse_int,
                        (lambda c: c.n_elements < 1, "must be >= 1")),
     "n_scene": _key(400, "discretization", "n_scene", _parse_int,
@@ -200,7 +194,7 @@ _FIELDS = {
     "seed": _key(0, "run", "seed", _parse_int),
     "svg": _key(True, "run", "svg", _parse_bool),
     "analyses": _key(None, "run", "analyses", _name_list("analysis", tuple(_COMMANDS))),
-    "sweep_param": _key(None, "sweep", "param", _parse_sweep_param),
+    "sweep_param": _key(None, "sweep", "param", _one_of(("t", "D", "L2", "theta"))),
     "sweep_values": _key((), "sweep", "values", _parse_sweep_values),
     "sweep_include_fresnel": _key(False, "sweep", "include_fresnel", _parse_bool),
     "sweep_include_theta": _key(False, "sweep", "include_theta", _parse_bool),

@@ -123,10 +123,9 @@ class ArrayLayout(_value_type("ArrayLayout", "architecture tx_positions rx_posit
         return cls(architecture, pos, pos.copy(), aperture, pitch, pitch)
 
 
-class DiscreteOperator(_value_type("DiscreteOperator",
-                                   "factors row_weight col_weight scene_u array scene wave")):
+class DiscreteOperator(_value_type("DiscreteOperator", "factors array scene wave")):
     """Weighted forward operator, held as its one-way phase factors, plus
-    the grids and weights that produced it.
+    the array, scene and wave that produced them.
 
     matrix[m, c] = xi(pair_m, p_c) * sqrt(row_weight * col_weight),
     with |xi| = 1; every row carries the same weight, tx_weight for a
@@ -138,14 +137,29 @@ class DiscreteOperator(_value_type("DiscreteOperator",
     operator has one factor, the weighted round-trip phases (N, n); a
     multistatic one has the weighted Tx and Rx phases (N_tx, n) and
     (N_rx, n), one shared array when the layout's Tx and Rx coincide, so
-    the N^2 x n product is never stored.
+    the N^2 x n product is never stored.  row_weight, col_weight and
+    scene_u are read from the array, the scene and the factors' column
+    count n, so a copy made by _replace cannot leave them stale.
     """
 
     __slots__ = ()
 
     @property
+    def row_weight(self) -> float:
+        a = self.array
+        return a.tx_weight if a.architecture == MONOSTATIC else a.tx_weight * a.rx_weight
+
+    @property
+    def col_weight(self) -> float:
+        return self.scene.length / self.factors[0].shape[1]
+
+    @property
+    def scene_u(self) -> np.ndarray:
+        return self.scene.midpoints(self.factors[0].shape[1])
+
+    @property
     def shape(self) -> tuple[int, int]:
-        return math.prod(f.shape[0] for f in self.factors), self.scene_u.size
+        return math.prod(f.shape[0] for f in self.factors), self.factors[0].shape[1]
 
     @property
     def matrix(self) -> np.ndarray:
@@ -188,10 +202,6 @@ class DiscreteOperator(_value_type("DiscreteOperator",
         """Physical measurement vector s for scene reflectivity samples."""
         gamma = np.asarray(gamma)
         return self._apply(math.sqrt(self.col_weight) * gamma) / math.sqrt(self.row_weight)
-
-    def weight_data(self, data: np.ndarray) -> np.ndarray:
-        """Physical measurement values -> weighted coordinates."""
-        return math.sqrt(self.row_weight) * np.asarray(data)
 
 
 def _one_way_phases(positions: np.ndarray, points: np.ndarray, z_plane: float, k: float,
@@ -266,22 +276,10 @@ def build_operator(
     """
     if n_scene < 2:
         raise ValueError("need n_scene >= 2")
-    du = scene.length / n_scene
-    scene_u = scene.midpoints(n_scene)
-    points = scene.points(scene_u)
+    points = scene.points(scene.midpoints(n_scene))
     if points[:, 1].min() <= array.aperture.z_plane:
         raise ValueError("scene touches or crosses the aperture plane")
-
-    mono = array.architecture == MONOSTATIC
-    return DiscreteOperator(
-        factors=_weighted_factors(array, points, wave.k),
-        row_weight=array.tx_weight if mono else array.tx_weight * array.rx_weight,
-        col_weight=du,
-        scene_u=scene_u,
-        array=array,
-        scene=scene,
-        wave=wave,
-    )
+    return DiscreteOperator(_weighted_factors(array, points, wave.k), array, scene, wave)
 
 
 def _khatri_rao(factors: tuple, col_weight: float) -> np.ndarray:
@@ -339,6 +337,8 @@ class SvdSpectrum(_value_type("SvdSpectrum", "singular_values right_vectors hs_n
             raise ValueError("singular values must be non-increasing")
         if s[-1] < -slack:
             raise ValueError("singular values must be non-negative")
+        if s[0] <= 0.0:
+            raise ValueError("all-zero spectrum")
         if hs_norm_sq > 0.0:
             rel = abs(float(np.sum(s * s)) - hs_norm_sq) / hs_norm_sq
             if rel > 1e-10:
@@ -503,16 +503,12 @@ def left_vectors(op: DiscreteOperator, spectrum: SvdSpectrum, count: int) -> np.
 def sigma_bar(spectrum: SvdSpectrum) -> float:
     """Normalized sum of singular values, sum(sigma_i / sigma_1)."""
     s = spectrum.singular_values
-    if s[0] <= 0.0:
-        raise ValueError("all-zero spectrum")
     return float(np.sum(s / s[0]))
 
 
 def sigma_bar_sq(spectrum: SvdSpectrum) -> float:
     """Normalized sum of squared singular values, sum(sigma_i^2) / sigma_1^2."""
     s = spectrum.singular_values
-    if s[0] <= 0.0:
-        raise ValueError("all-zero spectrum")
     return float(np.sum((s / s[0]) ** 2))
 
 
@@ -522,8 +518,6 @@ def dof_knee(spectrum: SvdSpectrum, drop_db: float = -10.0) -> int:
     Returns the full spectrum length if no value falls below the threshold.
     """
     s = spectrum.singular_values
-    if s[0] <= 0.0:
-        raise ValueError("all-zero spectrum")
     threshold = s[0] * 10.0 ** (drop_db / 20.0)
     below = np.nonzero(s < threshold)[0]
     if below.size == 0:
@@ -540,9 +534,10 @@ def adjoint_to_points(
     For each column c of `coeffs` (weighted scene coordinates) computes
     g(q) = sum_m conj(xi(pair_m, q)) * sqrt(row_weight) * (A c)[m], the
     continuous adjoint image of the data A c sampled at `points`.  A
-    monostatic operator has one factor F, whose N x b data F sqrt(w) c are
-    formed once and imaged by F_q^H at each block of points.  Multistatic
-    data, N^2 x b, are never formed: g = ((T_q^H T) o (R_q^H R)) sqrt(w) c,
+    monostatic operator has one factor F, whose N x b data A c are formed
+    once, by the operator's own map, and imaged by F_q^H at each block of
+    points.  Multistatic data, N^2 x b, are never formed:
+    g = ((T_q^H T) o (R_q^H R)) sqrt(w) c,
     the cross-Gram of the factors at the points (T_q, R_q) and on the grid
     (T, R), where a shared Tx/Rx table takes one matrix product, squared.
     The points go through in blocks of _POINT_BLOCK, each with its own
@@ -563,7 +558,7 @@ def adjoint_to_points(
     out = np.empty((points.shape[0],) + np.shape(coeffs)[1:], dtype=complex)
     mono = len(op.factors) == 1
     if mono:
-        data = op.factors[0] @ (root_w * coeffs)
+        data = op._apply(coeffs)
     for start in range(0, points.shape[0], _POINT_BLOCK):
         stop = start + _POINT_BLOCK
         at_points = _weighted_factors(op.array, points[start:stop], op.wave.k)

@@ -96,7 +96,7 @@ def _back_projection(op: DiscreteOperator, data: np.ndarray) -> np.ndarray:
     data = np.asarray(data)
     if data.shape != (op.shape[0],):
         raise ValueError(f"data length {data.shape} does not match operator rows")
-    return op.adjoint(op.weight_data(data))
+    return op.adjoint(math.sqrt(op.row_weight) * data)
 
 
 def _pinv_filter(spectrum: SvdSpectrum, rank: int, x: np.ndarray) -> np.ndarray:

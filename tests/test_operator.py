@@ -10,6 +10,7 @@ from aperture_dof import (
     MULTISTATIC,
     Aperture,
     ArrayLayout,
+    DiscreteOperator,
     SceneSegment,
     SvdSpectrum,
     WaveContext,
@@ -102,7 +103,22 @@ def test_forward_matches_matrix_action():
     s = op.forward(gamma)
     manual = (op.matrix @ (math.sqrt(op.col_weight) * gamma)) / np.sqrt(op.row_weight)
     np.testing.assert_allclose(s, manual, rtol=1e-12)
-    np.testing.assert_allclose(op.weight_data(s), op.matrix @ (math.sqrt(op.col_weight) * gamma), rtol=1e-12)
+    np.testing.assert_allclose(math.sqrt(op.row_weight) * s,
+                               op.matrix @ (math.sqrt(op.col_weight) * gamma), rtol=1e-12)
+
+
+def test_operator_holds_only_what_defines_it():
+    # the weights and the grid are read from the array, the scene and the
+    # factors, so no copy can carry a second, stale value of them
+    assert DiscreteOperator._fields == ("factors", "array", "scene", "wave")
+    op = small_operator(MULTISTATIC, n_elements=6, n_scene=40)
+    with pytest.raises(ValueError):
+        op._replace(col_weight=2 * op.col_weight)
+    narrow = op._replace(factors=tuple(f[:, :10] for f in op.factors))
+    assert narrow.shape == (36, 10)
+    np.testing.assert_array_equal(narrow.scene_u, op.scene.midpoints(10))
+    assert narrow.col_weight == op.scene.length / 10
+    assert narrow.row_weight == op.array.tx_weight * op.array.rx_weight
 
 
 def test_scene_behind_aperture_rejected():
@@ -331,6 +347,8 @@ def test_spectrum_validation():
         SvdSpectrum(np.array([1.0, 0.5]), None, 2.0)  # sum rule broken
     with pytest.raises(ValueError):
         SvdSpectrum(np.array([]), None, 0.0)
+    with pytest.raises(ValueError, match="all-zero spectrum"):
+        SvdSpectrum(np.zeros(3), None, 0.0)
 
 
 def test_dof_knee_on_synthetic_spectrum():

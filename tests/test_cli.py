@@ -937,6 +937,42 @@ def test_norm_check_catches_a_dropped_rx_weight(tmp_path, monkeypatch, capsys):
     assert "norm deviates" in capsys.readouterr().err
 
 
+def _assert_runs_without(command, config, out, *modules):
+    """Runs the command in a fresh interpreter and asserts that it never
+    loaded any of `modules`.  A layer that the package registered but never
+    ran is not loaded: it is not yet a plain module object."""
+    code = (
+        "import sys, types\n"
+        "from aperture_dof.cli import main\n"
+        "assert main(sys.argv[1:]) == 0\n"
+        f"loaded = [m for m in {modules!r} if type(sys.modules.get(m)) is types.ModuleType]\n"
+        "assert not loaded, f'{loaded} loaded'\n"
+    )
+    proc = fresh_python("-c", code, command, "--config", CONFIGS / config, "--out", out)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_resolution_does_not_import_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma, tens of ms of start-up per process
+    _assert_runs_without("resolution", "resolution_g1.cfg", tmp_path, "numpy.ma")
+
+
+def test_kspace_does_not_import_numpy_random(tmp_path):
+    # numpy.random, about 16 ms of start-up, only to draw three check angles;
+    # dataclasses and json, which the config path and kspace never use
+    _assert_runs_without("kspace", "nominal.cfg", tmp_path, "numpy.random", "dataclasses", "json")
+
+
+@pytest.mark.parametrize("config", [CONFIGS / "tilt_sweep.cfg",
+                                    ROOT / "perfbench" / "configs" / "t_sweep.cfg"],
+                         ids=lambda p: p.name)
+def test_sbp_sweep_runs_without_numpy(config, tmp_path):
+    # import numpy, 55-105 ms, would be nearly all of a sweep process after
+    # interpreter start-up: the SBP is a few hypots per tilt in plain floats.
+    # dataclasses, with the inspect it imports, and json add about 10 ms more
+    _assert_runs_without("sbp-sweep", config, tmp_path, "numpy", "dataclasses", "inspect", "json")
+
+
 def test_importing_cli_and_reading_every_config_loads_no_numpy():
     # the start-up every command pays before it runs: only the commands that
     # build arrays import numpy, and only those that write JSON import json;
@@ -953,47 +989,19 @@ def test_importing_cli_and_reading_every_config_loads_no_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
-def _package(*layers):
-    return tuple(f"aperture_dof.{m}" for m in layers)
-
-
-# import numpy, 55-105 ms, would be nearly all of a sweep process after
-# interpreter start-up: the SBP is a few hypots per tilt in plain floats.
-# inspect, which dataclasses imports, and json add about 10 ms more
-_SWEEP_SKIPS = ("numpy", "inspect", "json",
-                *_package("operator", "recon", "fresnel", "kspace", "_svg"))
-
-
 @pytest.mark.parametrize("command, config, layers", [
-    ("sbp-sweep", "tilt_sweep.cfg", _SWEEP_SKIPS),
-    # numpy.random, about 16 ms of start-up, only to draw three check
-    # angles; json, which the config path and kspace never use
-    ("kspace", "nominal.cfg",
-     ("numpy.random", "json", *_package("operator", "recon", "fresnel", "sbp", "_svg"))),
-    ("svd", "nominal.cfg", _package("recon", "fresnel", "kspace")),
-    # np.unique imports numpy.ma, tens of ms of start-up per process
-    ("resolution", "resolution_g1.cfg", ("numpy.ma", *_package("fresnel", "sbp", "_svg"))),
-    ("fresnel", "fresnel_standoff.cfg", _package("recon", "kspace", "_svg")),
-    ("sbp-sweep", ROOT / "perfbench" / "configs" / "t_sweep.cfg", _SWEEP_SKIPS),
-], ids=lambda v: v.name if isinstance(v, Path) else None)
+    ("sbp-sweep", "tilt_sweep.cfg", ("operator", "recon", "fresnel", "kspace", "_svg")),
+    ("kspace", "nominal.cfg", ("operator", "recon", "fresnel", "sbp", "_svg")),
+    ("svd", "nominal.cfg", ("recon", "fresnel", "kspace")),
+    ("resolution", "resolution_g1.cfg", ("fresnel", "sbp", "_svg")),
+    ("fresnel", "fresnel_standoff.cfg", ("recon", "kspace", "_svg")),
+])
 def test_each_command_loads_only_the_layers_it_runs(command, config, layers, tmp_path):
-    """Runs the command in a fresh interpreter and asserts that it never
-    loaded any of `layers`, the package's and the libraries'.  A layer that
-    the package registered but never ran is not loaded: it is not yet a
-    plain module object."""
     # each layer loaded is compiled too wherever no bytecode is cached, 1 to
     # 7 ms of start-up per module; every value type is a namedtuple, so no
     # command loads dataclasses, 3 to 5 ms of a numpy command
-    code = (
-        "import sys, types\n"
-        "from aperture_dof.cli import main\n"
-        "assert main(sys.argv[1:]) == 0\n"
-        f"loaded = [m for m in {('dataclasses', *layers)!r} "
-        "if type(sys.modules.get(m)) is types.ModuleType]\n"
-        "assert not loaded, f'{loaded} loaded'\n"
-    )
-    proc = fresh_python("-c", code, command, "--config", CONFIGS / config, "--out", tmp_path)
-    assert proc.returncode == 0, proc.stderr
+    _assert_runs_without(command, config, tmp_path, "dataclasses",
+                         *(f"aperture_dof.{m}" for m in layers))
 
 
 def test_module_entry_runs_clean_under_w_error(tmp_path):

@@ -340,11 +340,23 @@ def _check(condition: bool, message: str):
         raise RuntimeError(f"internal consistency check failed: {message}")
 
 
+def _positive_sbp(cfg: ExperimentConfig) -> sbp.SbpResult:
+    """The scene's SBP, refused with ValueError when it is not positive: a
+    scene far beyond the aperture's reach rounds every bandwidth to 0, and
+    its operator's phases to noise.  A plain-float closed form, checked
+    before any operator is built."""
+    result = sbp.compute_sbp(cfg.scene(), cfg.aperture(), cfg.wave())
+    if not result.value > 0.0:
+        raise ValueError(f"space-bandwidth product SBP = {result.value:.9g} <= 0: the scene "
+                         "lies beyond the aperture's reach, it has no degree of freedom")
+    return result
+
+
 def cmd_svd(cfg: ExperimentConfig, archs: tuple) -> dict:
     import numpy as np
 
     wave, aperture, scene = cfg.wave(), cfg.aperture(), cfg.scene()
-    sbp_res = sbp.compute_sbp(scene, aperture, wave)
+    sbp_res = _positive_sbp(cfg)
     files = {}
     arch_payload = {}
     svg_series = []
@@ -464,6 +476,7 @@ def cmd_kspace(cfg: ExperimentConfig) -> dict:
 def _fresnel_payload(cfg: ExperimentConfig) -> tuple:
     """fresnel.json's payload and the effective aperture of one parallel
     geometry, once its Fresnel-kernel equivalence check has passed."""
+    _positive_sbp(cfg)
     report = fresnel.fresnel_equivalence_check(
         cfg.layout(MULTISTATIC), cfg.scene(), cfg.wave(), cfg.n_scene)
     _check(

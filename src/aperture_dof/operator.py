@@ -29,6 +29,8 @@ f[::-1, ::-1] within _MIRROR_TOL: a centred broadside scene under a centred
 uniform array) comes from the even and odd blocks of its Gram or matrix
 (_mirror_blocks), two half-size solves for a quarter of the flops; by
 Weyl's inequality no value moves by more than half the asymmetry's 2-norm.
+The same measured test (_factors_are_mirror_symmetric) lets recon._images
+image only the right half of a fine grid and mirror it.
 Every kernel writes into the array it returns: phase tables are exponentiated in
 place, and the Gram is weighted in the array of its first matrix product
 and never symmetrized, because the eigensolvers read only its lower
@@ -375,8 +377,7 @@ def _spectrum(factors: tuple, col_weight: float, vectors: bool,
               leading: bool = False) -> SvdSpectrum:
     """svd on an operator's factors and column weight alone."""
     shape = (math.prod(f.shape[0] for f in factors), factors[0].shape[1])
-    split = not (vectors or leading) and all(
-        map(_is_mirror_symmetric, factors[:1] if factors[-1] is factors[0] else factors))
+    split = not (vectors or leading) and _factors_are_mirror_symmetric(factors)
     try:
         if leading or (len(factors) == 2 and shape[0] > 4 * shape[1]):
             if len(factors) == 2:
@@ -429,6 +430,13 @@ def _is_mirror_symmetric(f: np.ndarray) -> bool:
         if gap > limit:
             return False
     return True
+
+
+def _factors_are_mirror_symmetric(factors: tuple) -> bool:
+    """Whether every distinct factor passes _is_mirror_symmetric, a shared
+    Tx/Rx table measured once: the test behind both the values-only split
+    of _spectrum and the half-grid images of recon._images."""
+    return all(map(_is_mirror_symmetric, factors[:1] if factors[-1] is factors[0] else factors))
 
 
 def _mirror_blocks(a: np.ndarray) -> tuple:

@@ -11,10 +11,13 @@ grid.  _images forms every point spread function: it images scene-side
 columns through adjoint_to_points, on the grid (oversample = 1) or a finer
 one, streaming blocks of image points (monostatic images from the small
 data, multistatic ones from the factors' cross-Gram), so the N^2-row
-multistatic data are never formed.  PSFs keep the -10 dB knee, so they take
-only the leading singular triplets, by Rayleigh-Ritz.  Resolution is
-measured as the 3dB mainlobe width of point-scatterer PSFs and benchmarked
-against the reciprocal bandwidth 1/B.
+multistatic data are never formed.  When the operator's factors measure as
+mirror-symmetric, as for a centred broadside scene under a centred array,
+only the right half of the grid is imaged and the left half is its mirror
+image.  PSFs keep the -10 dB knee, so they take only the leading
+singular triplets, by Rayleigh-Ritz.  Resolution is measured as the 3dB
+mainlobe width of point-scatterer PSFs and benchmarked against the
+reciprocal bandwidth 1/B.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .operator import (
     ArrayLayout,
     DiscreteOperator,
     SvdSpectrum,
+    _factors_are_mirror_symmetric,
     adjoint_to_points,
     build_operator,
     dof_knee,
@@ -164,11 +168,27 @@ def _images(op: DiscreteOperator, idx, methods: tuple, oversample: int,
     the data A c; PINV images are adjoints of A V_r Sigma_r^-2 V_r^H c,
     where r is the -10 dB dof_knee of spectrum, by default the leading
     spectrum svd(op, leading=True).  Every column goes through one
-    adjoint_to_points call, which streams blocks of grid points.
+    adjoint_to_points call, which streams blocks of grid points: all of
+    them, or the right half for a mirror-symmetric operator.
+
+    When every distinct factor of op is mirror-symmetric (measured by
+    _factors_are_mirror_symmetric, never inferred from the geometry), the
+    image of sample i at u equals that of its mirror sample n-1-i at -u, to
+    the asymmetry the test allows.  Then only the right half of the m-point
+    fine grid, rows m//2 .. m-1, is imaged, for the samples idx and their
+    mirrors in the same call, and each target's left half is its mirror's
+    right half reversed: half the one-way tables and cross-Gram products,
+    for the few mirror columns the target set lacks.  Any other operator
+    images every row of the samples idx alone.
     """
     w = op.col_weight
-    coeffs = np.zeros((op.scene_u.size, len(idx)))
-    coeffs[idx, np.arange(len(idx))] = math.sqrt(w) / w
+    n = op.scene_u.size
+    m = n * oversample
+    half = _factors_are_mirror_symmetric(op.factors)
+    # the imaged samples: idx, or with the half grid the union of idx and its mirrors
+    cols = sorted({*idx, *(n - 1 - i for i in idx)}) if half else idx
+    coeffs = np.zeros((n, len(cols)))
+    coeffs[cols, np.arange(len(cols))] = math.sqrt(w) / w
     columns = {}
     rank = None
     if "mf" in methods:
@@ -177,10 +197,21 @@ def _images(op: DiscreteOperator, idx, methods: tuple, oversample: int,
         sp = spectrum or svd(op, leading=True)
         rank = dof_knee(sp)
         columns["pinv"] = _pinv_filter(sp, rank, coeffs)
-    u_fine = op.scene.midpoints(op.scene_u.size * oversample)
-    stacked = adjoint_to_points(op, np.hstack(list(columns.values())), op.scene.points(u_fine))
-    b = len(idx)
-    return u_fine, {m: stacked[:, i * b:(i + 1) * b] for i, m in enumerate(columns)}, rank
+    u_fine = op.scene.midpoints(m)
+    start = m // 2 if half else 0
+    stacked = adjoint_to_points(op, np.hstack(list(columns.values())),
+                                op.scene.points(u_fine[start:]))
+    b = len(cols)
+    images = {meth: stacked[:, i * b:(i + 1) * b] for i, meth in enumerate(columns)}
+    if half:
+        # row k < start of sample i is row m-1-k of sample n-1-i: the imaged
+        # rows reversed, whose first start rows are m-1 .. m-start
+        at = {c: j for j, c in enumerate(cols)}
+        own = [at[i] for i in idx]
+        mirror = [at[n - 1 - i] for i in idx]
+        images = {meth: np.concatenate((img[::-1][:start, mirror], img[:, own]))
+                  for meth, img in images.items()}
+    return u_fine, images, rank
 
 
 def beamwidth_3db(profile: ImageProfile) -> float:

@@ -554,6 +554,32 @@ def test_resolution_on_a_scene_beyond_the_bandwidth_exits_1_and_writes_nothing(t
                           "large"), err
 
 
+@pytest.mark.parametrize("key", ["L2", "t"])
+@pytest.mark.parametrize("command", ["svd", "fresnel"])
+def test_scene_with_no_space_bandwidth_exits_1_before_any_phase_table(command, key, tmp_path,
+                                                                       monkeypatch, capsys):
+    # a 1e300 m scene, or one 1e300 m off axis, rounds the SBP to 0: svd once
+    # wrote a one-value spectrum with exit 0, and fresnel failed its SVD after
+    # three overflow warnings
+    import aperture_dof.fresnel
+    import aperture_dof.operator
+
+    tables = []
+    for module in (aperture_dof.operator, aperture_dof.fresnel):
+        monkeypatch.setattr(module, "_one_way_phases", lambda *args, **kw: tables.append(args))
+    path = tmp_path / "far.cfg"
+    path.write_text(f"[geometry]\n{key} = 1e300\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--config", str(path), "--out", str(out)]) == 1
+    assert caught == [] and tables == []
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err == ("error: space-bandwidth product SBP = 0 <= 0: the scene lies beyond the "
+                   "aperture's reach, it has no degree of freedom\n"), err
+
+
 @pytest.mark.parametrize("change, message", [
     (("L1 = 15cm", "L1 = 1e300"), "error: internal consistency check failed: multistatic "),
     (("L2 = 10cm\nD = 20cm", "L2 = 1e-300\nD = 1e-300"),

@@ -22,7 +22,9 @@ from aperture_dof import (
     resolution_sweep,
     svd,
 )
-from aperture_dof.recon import _images
+from aperture_dof import operator
+from aperture_dof.operator import adjoint_to_points, dof_knee
+from aperture_dof.recon import _images, _pinv_filter
 
 from conftest import LAM, L1, L2, D, small_operator, random_gamma
 
@@ -157,6 +159,99 @@ def test_oversampled_psf_contains_the_grid_psf(architecture, n_elements):
             peak = np.abs(coarse[method][:, j]).max()
             np.testing.assert_allclose(
                 fine[method][1::3, j], coarse[method][:, j], rtol=0, atol=1e-12 * peak)
+
+
+def _full_grid_images(op, idx, oversample):
+    # the route of every operator that is not mirror-symmetric: the samples
+    # idx alone, MF then PINV, imaged at every fine-grid point in one
+    # adjoint_to_points call
+    w, n, b = op.col_weight, op.scene_u.size, len(idx)
+    coeffs = np.zeros((n, b))
+    coeffs[idx, np.arange(b)] = math.sqrt(w) / w
+    sp = svd(op, leading=True)
+    columns = np.hstack([coeffs, _pinv_filter(sp, dof_knee(sp), coeffs)])
+    u = op.scene.midpoints(n * oversample)
+    stacked = adjoint_to_points(op, columns, op.scene.points(u))
+    return u, {"mf": stacked[:, :b], "pinv": stacked[:, b:]}
+
+
+def _tx_rx_operator(tx, rx):
+    ap = Aperture.centered(L1, D)
+    layout = ArrayLayout(MULTISTATIC, tx, rx, ap, L1 / tx.size, L1 / rx.size)
+    return build_operator(SceneSegment(L2 / 2.0), layout, WaveContext(LAM), 40)
+
+
+def _train(n):
+    # n uniform elements centred on the aperture
+    return ArrayLayout.uniform(Aperture.centered(L1, D), n, MULTISTATIC).tx_positions
+
+
+_SYMMETRIC_OPERATORS = {
+    "mono": lambda: small_operator(MONOSTATIC, n_elements=30, n_scene=40),
+    "multi_shared": lambda: small_operator(MULTISTATIC, n_elements=12, n_scene=40),
+    "tx_rx_trains": lambda: _tx_rx_operator(_train(12), _train(9)),
+}
+
+# on n_scene = 40: a mirror-closed set, and the three targets resolution_sweep
+# places (n_targets = 3), whose mirrors 29, 19, 9 make a union of 6 columns
+_TARGET_SETS = {"closed": [5, 14, 25, 34], "open": [10, 20, 30]}
+
+
+@pytest.mark.parametrize("targets", sorted(_TARGET_SETS))
+@pytest.mark.parametrize("oversample", [1, 3])
+@pytest.mark.parametrize("layout", sorted(_SYMMETRIC_OPERATORS))
+def test_half_grid_images_match_the_full_grid(layout, oversample, targets):
+    op = _SYMMETRIC_OPERATORS[layout]()
+    assert operator._factors_are_mirror_symmetric(op.factors)
+    idx = _TARGET_SETS[targets]
+    u, images, rank = _images(op, idx, ("pinv", "mf"), oversample)
+    u_full, full = _full_grid_images(op, idx, oversample)
+    np.testing.assert_array_equal(u, u_full)
+    assert rank == dof_knee(svd(op, leading=True))
+    for method in ("pinv", "mf"):
+        assert images[method].shape == (40 * oversample, len(idx))
+        # measured: at most 7.3e-14 of the column's peak on these layouts
+        peak = np.abs(full[method]).max(axis=0)
+        assert np.all(np.abs(images[method] - full[method]).max(axis=0) <= 1e-12 * peak)
+
+
+_ASYMMETRIC_OPERATORS = {
+    "shifted_mono": lambda: small_operator(MONOSTATIC, n_elements=30, n_scene=40, shift=0.03),
+    "tilted_multi": lambda: small_operator(MULTISTATIC, n_elements=12, n_scene=40, theta=0.5),
+    # the Tx train is mirror-symmetric, the Rx train (its first 9 elements) is not
+    "one_side": lambda: _tx_rx_operator(_train(12), _train(12)[:9]),
+}
+
+
+@pytest.mark.parametrize("oversample", [1, 3])
+@pytest.mark.parametrize("layout", sorted(_ASYMMETRIC_OPERATORS))
+def test_asymmetric_operators_image_the_whole_grid_as_before(layout, oversample):
+    op = _ASYMMETRIC_OPERATORS[layout]()
+    assert not operator._factors_are_mirror_symmetric(op.factors)
+    idx = _TARGET_SETS["open"]
+    u, images, _ = _images(op, idx, ("pinv", "mf"), oversample)
+    u_full, full = _full_grid_images(op, idx, oversample)
+    np.testing.assert_array_equal(u, u_full)
+    for method in ("pinv", "mf"):
+        np.testing.assert_array_equal(images[method], full[method])
+
+
+@pytest.mark.parametrize("n_scene, oversample", [(40, 4), (41, 3)])
+@pytest.mark.parametrize("architecture", [MONOSTATIC, MULTISTATIC])
+def test_symmetric_images_take_tables_at_half_the_fine_points(architecture, n_scene, oversample,
+                                                              monkeypatch):
+    op = small_operator(architecture, n_elements=12, n_scene=n_scene)
+    points = []
+    tables = operator._weighted_factors
+
+    def counting(array, at, k):
+        points.append(at.shape[0])
+        return tables(array, at, k)
+
+    monkeypatch.setattr(operator, "_weighted_factors", counting)
+    _images(op, [3, n_scene // 2], ("pinv", "mf"), oversample)
+    m = n_scene * oversample
+    assert sum(points) == (m + 1) // 2
 
 
 def test_image_profile_validation():
